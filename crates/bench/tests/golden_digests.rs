@@ -130,3 +130,29 @@ fn fig7b_rows_digest_is_pinned() {
     });
     assert_eq!(digest, 0x8edc98599281dc82, "fig7b row digest drifted");
 }
+
+/// The observability exports of two observed smoke-scale cells: BG-2
+/// (die, channel, router and accelerator tracks) and CC (host CPU and
+/// PCIe tracks, plus zero-length spans exported as instant events).
+/// Folds each cell's Chrome trace bytes and metrics-registry JSON, so
+/// any change to trace formatting, event order or registry rendering
+/// fails here.
+#[test]
+fn chrome_trace_digest_is_pinned() {
+    let w = bench::workload(Dataset::Amazon, 4_000, 64);
+    let mut d = FNV_OFFSET;
+    for platform in [Platform::Bg2, Platform::Cc] {
+        let m = Experiment::new(&w).run_observed(platform, 1 << 20);
+        let mut trace = Vec::new();
+        simkit::ChromeTraceWriter::write(&m.spans, &mut trace).expect("in-memory write");
+        let has = |ph: &[u8]| trace.windows(ph.len()).any(|b| b == ph);
+        assert!(has(b"\"ph\":\"X\""));
+        assert!(platform != Platform::Cc || has(b"\"ph\":\"i\""));
+        d = fnv1a_fold(d, &trace);
+        d = fnv1a_fold(d, m.metrics_registry().to_json_string().as_bytes());
+    }
+    assert_eq!(
+        d, 0x0a5f_d996_31a5_3325,
+        "chrome trace / registry digest drifted"
+    );
+}

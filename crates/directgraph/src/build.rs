@@ -18,6 +18,7 @@
 //! layout.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use beacon_graph::{CsrGraph, FeatureTable, NodeId};
 
@@ -28,6 +29,7 @@ use crate::layout::{
     primary_section_size, secondary_capacity, secondary_section_size, PageEncoder, ADDR_BYTES,
     HEADER_BYTES, PRIMARY_FIXED_BYTES,
 };
+use crate::verify::ValidationError;
 
 /// Pages per parallel serialization work item (step 2). Fixed — never
 /// derived from the thread count — so the encoded image is identical at
@@ -143,10 +145,15 @@ pub struct DirectGraph {
     store: PageStore,
     directory: NodeDirectory,
     stats: BuildStats,
+    /// The flush-time validation result of this exact image, once
+    /// computed. Every `&mut self` path that can change pages or
+    /// addresses empties it; it is never serialized.
+    validation: OnceLock<Result<(), ValidationError>>,
 }
 
 impl DirectGraph {
-    /// Reassembles a DirectGraph from its parts (deserialization path).
+    /// Assembles a DirectGraph from its parts with no validation result
+    /// memoized (the builder and the load path).
     pub(crate) fn from_parts(
         layout: AddrLayout,
         store: PageStore,
@@ -158,6 +165,7 @@ impl DirectGraph {
             store,
             directory,
             stats,
+            validation: OnceLock::new(),
         }
     }
 
@@ -177,9 +185,17 @@ impl DirectGraph {
     }
 
     /// Mutable access to the flash page image (used by error-injection
-    /// tests and the scrubbing model).
+    /// tests and the scrubbing model). Forgets the memoized validation
+    /// result, so the next check walks the image again.
     pub fn image_mut(&mut self) -> &mut PageStore {
+        self.validation = OnceLock::new();
         &mut self.store
+    }
+
+    /// The memoized flush-time validation result (see
+    /// [`Validator::verify_image`](crate::Validator::verify_image)).
+    pub(crate) fn validation(&self) -> &OnceLock<Result<(), ValidationError>> {
+        &self.validation
     }
 
     /// The node → primary-section-address directory.
@@ -246,6 +262,7 @@ impl DirectGraph {
     /// must be scrubbed before reclamation) or if `map` sends two pages
     /// to the same destination.
     pub fn relocate_pages(&mut self, map: impl Fn(PageIndex) -> PageIndex) -> Result<(), String> {
+        self.validation = OnceLock::new();
         let layout = self.layout;
         let remap_addr = |addr: PhysAddr| {
             let (page, slot) = layout.unpack(addr);
@@ -498,12 +515,12 @@ impl DirectGraphBuilder {
             );
         }
 
-        Ok(DirectGraph {
-            layout: self.layout,
+        Ok(DirectGraph::from_parts(
+            self.layout,
             store,
             directory,
             stats,
-        })
+        ))
     }
 }
 

@@ -29,6 +29,11 @@ use crate::image::PageStore;
 
 const MAGIC: &[u8; 4] = b"DGR1";
 
+/// Most directory entries reserved before any are read. Larger
+/// directories grow as entries actually arrive, so a header claiming a
+/// huge count costs only as much memory as the stream backs.
+const MAX_UPFRONT_NODES: usize = 1 << 16;
+
 /// Deserialization failures.
 #[derive(Debug)]
 pub enum LoadError {
@@ -40,6 +45,14 @@ pub enum LoadError {
     BadPageSize(u32),
     /// A page record exceeds the layout's index range.
     PageIndexOutOfRange(u64),
+    /// A header count exceeds what the format can address: more nodes
+    /// than 32-bit node ids, or more pages than the layout indexes.
+    CountOutOfRange {
+        /// The header field (`"num_nodes"` or `"num_pages"`).
+        field: &'static str,
+        /// The count the stream claims.
+        count: u64,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -49,6 +62,9 @@ impl fmt::Display for LoadError {
             LoadError::BadMagic(m) => write!(f, "bad magic {m:02x?}"),
             LoadError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
             LoadError::PageIndexOutOfRange(i) => write!(f, "page index {i} out of range"),
+            LoadError::CountOutOfRange { field, count } => {
+                write!(f, "{field} {count} out of range")
+            }
         }
     }
 }
@@ -122,8 +138,14 @@ impl DirectGraph {
         let page_size = read_u32(&mut reader)?;
         let layout = AddrLayout::for_page_size(page_size as usize)
             .ok_or(LoadError::BadPageSize(page_size))?;
-        let n = read_u64(&mut reader)? as usize;
-        let mut primary = Vec::with_capacity(n);
+        let n = read_u64(&mut reader)?;
+        if n > u64::from(u32::MAX) + 1 {
+            return Err(LoadError::CountOutOfRange {
+                field: "num_nodes",
+                count: n,
+            });
+        }
+        let mut primary = Vec::with_capacity((n as usize).min(MAX_UPFRONT_NODES));
         for _ in 0..n {
             primary.push(PhysAddr::from_raw(read_u32(&mut reader)?));
         }
@@ -136,6 +158,12 @@ impl DirectGraph {
             edges: read_u64(&mut reader)?,
         };
         let num_pages = read_u64(&mut reader)?;
+        if num_pages > layout.max_page_index() + 1 {
+            return Err(LoadError::CountOutOfRange {
+                field: "num_pages",
+                count: num_pages,
+            });
+        }
         let mut store = PageStore::new(layout);
         for _ in 0..num_pages {
             let idx = read_u64(&mut reader)?;
@@ -198,6 +226,18 @@ mod tests {
     }
 
     #[test]
+    fn loaded_image_is_validated_afresh() {
+        let dg = build_dg(100);
+        assert!(crate::Validator::new(&dg).verify_image().is_ok());
+        assert!(dg.validation().get().is_some());
+        let mut buf = Vec::new();
+        dg.save(&mut buf).unwrap();
+        let loaded = DirectGraph::load(buf.as_slice()).unwrap();
+        assert!(loaded.validation().get().is_none());
+        assert!(crate::Validator::new(&loaded).verify_image().is_ok());
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let err = DirectGraph::load(&b"NOPE-----"[..]).unwrap_err();
         assert!(matches!(err, LoadError::BadMagic(_)));
@@ -212,6 +252,70 @@ mod tests {
         buf.truncate(buf.len() / 2);
         let err = DirectGraph::load(buf.as_slice()).unwrap_err();
         assert!(matches!(err, LoadError::Io(_)));
+    }
+
+    #[test]
+    fn huge_node_count_is_an_error_not_a_panic() {
+        for n in [1u64 << 62, u64::from(u32::MAX) + 2, u64::MAX] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"DGR1");
+            buf.extend_from_slice(&4096u32.to_le_bytes());
+            buf.extend_from_slice(&n.to_le_bytes());
+            let err = DirectGraph::load(buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, LoadError::CountOutOfRange { field: "num_nodes", count } if count == n),
+                "{err}"
+            );
+        }
+        // The largest representable count reserves a bounded prefix and
+        // fails when the stream runs out.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"DGR1");
+        buf.extend_from_slice(&4096u32.to_le_bytes());
+        buf.extend_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 64]);
+        assert!(matches!(
+            DirectGraph::load(buf.as_slice()),
+            Err(LoadError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn huge_page_count_is_an_error_not_a_panic() {
+        let dg = build_dg(50);
+        let mut buf = Vec::new();
+        dg.save(&mut buf).unwrap();
+        // `num_pages` sits right before the first page record.
+        let at = buf.len() - dg.image().pages_written() * (8 + 4096) - 8;
+        assert_eq!(
+            u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()),
+            dg.image().pages_written() as u64
+        );
+        buf[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let err = DirectGraph::load(buf.as_slice()).unwrap_err();
+        assert!(matches!(
+            err,
+            LoadError::CountOutOfRange {
+                field: "num_pages",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_encoding_is_an_error() {
+        let dg = build_dg(40);
+        let mut buf = Vec::new();
+        dg.save(&mut buf).unwrap();
+        // Every cut inside the header, directory and stats, then a
+        // stride through the page records.
+        let head = buf.len() - dg.image().pages_written() * (8 + 4096);
+        let cuts = (0..head).chain((head..buf.len()).step_by(509));
+        for cut in cuts {
+            let err = DirectGraph::load(&buf[..cut]).unwrap_err();
+            assert!(matches!(err, LoadError::Io(_)), "cut at {cut}: {err}");
+        }
+        assert!(DirectGraph::load(buf.as_slice()).is_ok());
     }
 
     #[test]

@@ -95,10 +95,23 @@ impl<'a> Validator<'a> {
     /// embedded section addresses (inline neighbors, secondary pointers)
     /// stay within the allocated page set.
     ///
+    /// The image is immutable behind `&DirectGraph`, so the walk runs
+    /// once per image and its result is memoized on the DirectGraph;
+    /// [`DirectGraph::image_mut`] and [`DirectGraph::relocate_pages`]
+    /// forget it, and a loaded image starts without one.
+    ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn verify_image(&self) -> Result<(), ValidationError> {
+        self.dg
+            .validation()
+            .get_or_init(|| self.walk_image())
+            .clone()
+    }
+
+    /// The full §VI-E check 1 walk behind [`verify_image`](Self::verify_image).
+    fn walk_image(&self) -> Result<(), ValidationError> {
         let layout = self.dg.layout();
         for (page_idx, _) in self.dg.image().iter_pages() {
             let sections = self.dg.image().parse_all_sections(page_idx).map_err(|e| {
@@ -219,20 +232,60 @@ mod tests {
         assert!(err.to_string().contains("different section"));
     }
 
-    #[test]
-    fn tampered_page_detected() {
-        let mut dg = small_dg();
-        // Corrupt an inline-neighbor address in page 0 to point far away.
+    /// Points node 0's last inline neighbor at `target`, through
+    /// `image_mut`.
+    fn redirect_inline(dg: &mut DirectGraph, target: PageIndex) {
         let layout = dg.layout();
         let (page_idx, _) = layout.unpack(dg.directory().primary_addr(NodeId::new(0)).unwrap());
         let mut page = dg.image().read_page(page_idx).unwrap().to_vec();
         // The first primary section's last 4 bytes are an inline addr;
         // find section length and stomp the tail.
         let len = u16::from_le_bytes([page[2], page[3]]) as usize;
-        let evil = layout.pack(PageIndex::new(1 << 20), 0);
+        let evil = layout.pack(target, 0);
         page[len - 4..len].copy_from_slice(&evil.to_raw().to_le_bytes());
         dg.image_mut().write_page(page_idx, page.into_boxed_slice());
+    }
+
+    #[test]
+    fn tampered_page_detected() {
+        let mut dg = small_dg();
+        redirect_inline(&mut dg, PageIndex::new(1 << 20));
         let err = Validator::new(&dg).verify_image().unwrap_err();
         assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn image_mut_forgets_the_memoized_result() {
+        let mut dg = small_dg();
+        assert!(Validator::new(&dg).verify_image().is_ok());
+        assert_eq!(dg.validation().get(), Some(&Ok(())));
+        redirect_inline(&mut dg, PageIndex::new(1 << 20));
+        assert!(dg.validation().get().is_none());
+        let err = Validator::new(&dg).verify_image().unwrap_err();
+        assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
+        // The failure is memoized too, and served unchanged.
+        assert_eq!(dg.validation().get(), Some(&Err(err.clone())));
+        assert_eq!(Validator::new(&dg).verify_image(), Err(err));
+    }
+
+    #[test]
+    fn relocate_pages_forgets_the_memoized_result() {
+        let mut dg = small_dg();
+        let n = dg.image().pages_written() as u64;
+        // One address just past the last page: out of bounds until a
+        // relocation sends that page index onto a real page.
+        redirect_inline(&mut dg, PageIndex::new(n));
+        let err = Validator::new(&dg).verify_image().unwrap_err();
+        assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
+        dg.relocate_pages(|p| {
+            PageIndex::new(if p.as_u64() == n {
+                0
+            } else {
+                n - 1 - p.as_u64()
+            })
+        })
+        .unwrap();
+        assert!(dg.validation().get().is_none());
+        assert!(Validator::new(&dg).verify_image().is_ok());
     }
 }

@@ -72,6 +72,12 @@ enum CmdKind {
 /// than recorded).
 const NO_REC: u32 = u32::MAX;
 
+/// Staged spans that trigger a flush into the recorder mid-drain. Small
+/// enough that the staging buffer stays cache-resident (about 56 KiB),
+/// instead of growing to a whole batch's spans and being written, read
+/// back and copied again.
+const SPAN_STAGE_FLUSH: usize = 1024;
+
 #[derive(Debug, Clone, Copy)]
 struct Cmd {
     sample: SampleCommand,
@@ -401,8 +407,9 @@ pub struct Engine<'a> {
     outcomes: OutcomePool,
     states: CmdStates,
     release_buf: Vec<Cmd>,
-    /// Staging buffer for hot-loop observability spans, flushed once
-    /// per batch via [`SpanRecorder::record_batch`].
+    /// Staging buffer for hot-loop observability spans, flushed via
+    /// [`SpanRecorder::record_batch`] every [`SPAN_STAGE_FLUSH`] spans
+    /// and at the end of each batch.
     span_stage: Vec<simkit::obs::Span>,
     /// Memoized flash service times (die sense + channel transfer).
     memo: FlashServiceMemo,
@@ -1084,11 +1091,22 @@ impl<'a> Engine<'a> {
             );
         }
         self.drain();
-        // Flush the spans the handlers staged during the drain, in
-        // exactly the order they were staged — identical sequence
-        // numbering to per-call recording, one push loop per batch.
+        // Flush the spans the handlers staged since the last mid-drain
+        // flush, in exactly the order they were staged — identical
+        // sequence numbering to per-call recording.
         self.obs.record_batch(&mut self.span_stage);
         self.prep_end
+    }
+
+    /// Stages one hot-loop span. Flushing in FIFO order whenever the
+    /// stage fills numbers and drops spans exactly as one flush per
+    /// batch would: the recorder sees the same sequence either way.
+    #[inline]
+    fn stage_span(&mut self, span: simkit::obs::Span) {
+        self.span_stage.push(span);
+        if self.span_stage.len() >= SPAN_STAGE_FLUSH {
+            self.obs.record_batch(&mut self.span_stage);
+        }
     }
 
     /// Registers a command as outstanding and schedules (or buffers) its
@@ -1256,7 +1274,7 @@ impl<'a> Engine<'a> {
                 .record(grant.start, "die_sense", die as u64, cmd.sample.hop as f64);
         }
         if self.obs.is_enabled() {
-            self.span_stage.push(simkit::obs::Span {
+            self.stage_span(simkit::obs::Span {
                 kind: UnitKind::Die,
                 unit: die as u32,
                 name: "sense",
@@ -1360,7 +1378,7 @@ impl<'a> Engine<'a> {
                 .record(grant.start, "chan_xfer", channel as u64, bytes as f64);
         }
         if self.obs.is_enabled() {
-            self.span_stage.push(simkit::obs::Span {
+            self.stage_span(simkit::obs::Span {
                 kind: UnitKind::Channel,
                 unit: channel as u32,
                 name: "xfer",
@@ -1508,7 +1526,7 @@ impl<'a> Engine<'a> {
             );
         }
         if self.obs.is_enabled() {
-            self.span_stage.push(simkit::obs::Span {
+            self.stage_span(simkit::obs::Span {
                 kind: UnitKind::Engine,
                 unit: 0,
                 name: "cmd_done",
@@ -1896,6 +1914,75 @@ mod tests {
         assert!(observed.accel_occupancy.systolic <= 1.0);
         assert!(observed.accel_occupancy.vector > 0.0);
         assert!(observed.accel_occupancy.vector <= 1.0);
+    }
+
+    #[test]
+    fn capped_span_recording_keeps_the_record_order_prefix() {
+        let dg = make_dg(2_000, 25.0, 128);
+        let model = GnnModelConfig::paper_default(128);
+        let batches: Vec<Vec<NodeId>> = (0..2)
+            .map(|b| (b * 32..b * 32 + 32).map(NodeId::new).collect())
+            .collect();
+        let run = |cap| {
+            Engine::new(Platform::Cc, SsdConfig::paper_default(), model, &dg, 4)
+                .with_obs(cap)
+                .run(&batches)
+        };
+        let full = run(1 << 20);
+        let total = full.spans.len();
+        assert!(total > 4 * SPAN_STAGE_FLUSH, "{total} spans");
+        // Capacities that fill mid-stage, exactly at a stage flush, and
+        // just past one: the retained spans are always the record-order
+        // prefix, whichever flush the capacity runs out in.
+        for cap in [
+            SPAN_STAGE_FLUSH / 2,
+            SPAN_STAGE_FLUSH,
+            SPAN_STAGE_FLUSH + 1,
+            3 * SPAN_STAGE_FLUSH + 7,
+        ] {
+            let capped = run(cap);
+            assert_eq!(capped.spans.len(), cap);
+            assert_eq!(capped.spans.dropped(), (total - cap) as u64);
+            assert!(capped.spans.iter().eq(full.spans.iter().take(cap)));
+        }
+    }
+
+    #[test]
+    fn observed_run_revalidates_a_corrupted_image() {
+        use directgraph::DirectGraph;
+        // Points node 0's last inline neighbor far outside the image.
+        fn corrupt(dg: &mut DirectGraph) {
+            let layout = dg.layout();
+            let (page_idx, _) = layout.unpack(dg.directory().primary_addr(NodeId::new(0)).unwrap());
+            let mut page = dg.image().read_page(page_idx).unwrap().to_vec();
+            let len = u16::from_le_bytes([page[2], page[3]]) as usize;
+            let evil = layout.pack(directgraph::PageIndex::new(1 << 20), 0);
+            page[len - 4..len].copy_from_slice(&evil.to_raw().to_le_bytes());
+            dg.image_mut().write_page(page_idx, page.into_boxed_slice());
+        }
+        let model = GnnModelConfig::paper_default(64);
+        let batch: Vec<NodeId> = (0..16).map(NodeId::new).collect();
+        let run = |dg: &DirectGraph| {
+            Engine::new(Platform::Bg2, SsdConfig::paper_default(), model, dg, 3)
+                .with_obs(1 << 16)
+                .run(std::slice::from_ref(&batch))
+        };
+        // A healthy run validates the image and memoizes the result...
+        let mut validated = make_dg(1_000, 20.0, 64);
+        assert!(run(&validated).ftl.is_some());
+        // ...which corrupting the image through `image_mut` forgets: the
+        // next observed run fails the flush check exactly as a run on a
+        // never-validated copy of the same corrupt image does.
+        corrupt(&mut validated);
+        let mut fresh = make_dg(1_000, 20.0, 64);
+        corrupt(&mut fresh);
+        let after = run(&validated);
+        let never = run(&fresh);
+        assert!(after.ftl.is_none() && never.ftl.is_none());
+        assert_eq!(
+            after.metrics_registry().to_json_string(),
+            never.metrics_registry().to_json_string()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   path already proved cheap.
 //! - [`ChromeTraceWriter`] exports a recorder as Chrome trace-event
 //!   JSON, loadable in [Perfetto](https://ui.perfetto.dev) or
-//!   `chrome://tracing`. Events are sorted by `(time, unit, seq)` so
+//!   `chrome://tracing`. Events are sorted by `(time, kind, unit, seq)` so
 //!   identical runs produce byte-identical files.
 //! - [`MetricsRegistry`] is an insertion-ordered collection of named
 //!   sections of named values, serializing to JSON with stable field
@@ -127,12 +127,14 @@ impl SpanRecorder {
         Self::default()
     }
 
-    /// A recorder retaining up to `capacity` spans (0 disables).
+    /// A recorder retaining up to `capacity` spans (0 disables). The
+    /// capacity is clamped to `u32::MAX`, the most the trace exporter
+    /// indexes.
     pub fn with_capacity(capacity: usize) -> Self {
         SpanRecorder {
             // Lazy: large captures grow on demand, tiny ones stay tiny.
             spans: Vec::new(),
-            capacity,
+            capacity: capacity.min(u32::MAX as usize),
             seq: 0,
             dropped: 0,
         }
@@ -256,12 +258,18 @@ impl SpanRecorder {
         }
     }
 
-    /// Retained spans sorted canonically by `(time, unit, seq)` — the
-    /// export order.
-    pub fn sorted(&self) -> Vec<Span> {
-        let mut v = self.spans.clone();
-        v.sort_by_key(|s| (s.start, s.kind, s.unit, s.seq));
-        v
+    /// Indices of the retained spans in the canonical export order,
+    /// `(start, kind, unit, seq)`. Every retained span's `seq` is its
+    /// index (both recording paths stamp `seq` as they push), so the
+    /// index stands in for `seq` as the tiebreaker.
+    fn export_order(&self) -> Vec<u32> {
+        // `with_capacity` clamps retention to `u32::MAX` spans.
+        let mut order: Vec<u32> = (0..self.spans.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| {
+            let s = &self.spans[i as usize];
+            (s.start, s.kind, s.unit, i)
+        });
+        order
     }
 }
 
@@ -273,94 +281,184 @@ impl SpanRecorder {
 /// of "pid 5 tid 3". Timestamps are microseconds with fixed
 /// three-decimal nanosecond precision, formatted from integers — no
 /// float round-trip, so output is byte-stable across hosts.
+///
+/// Events are formatted straight into a bounded byte buffer that is
+/// handed to the sink in 64 KiB pieces, so exporting never holds a
+/// second copy of the trace.
 pub struct ChromeTraceWriter;
+
+/// Flush threshold of [`ChromeTraceWriter`]'s staging buffer.
+const TRACE_CHUNK: usize = 64 * 1024;
 
 impl ChromeTraceWriter {
     /// Writes the full trace JSON document.
-    pub fn write<W: Write>(spans: &SpanRecorder, mut w: W) -> io::Result<()> {
-        w.write_all(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")?;
-        let sorted = spans.sorted();
-        let mut first = true;
+    pub fn write<W: Write>(spans: &SpanRecorder, w: W) -> io::Result<()> {
+        let mut out = TraceOut {
+            w,
+            buf: Vec::with_capacity(TRACE_CHUNK + 1024),
+            first: true,
+        };
+        out.put(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
         // Name each unit kind present (plus sort order) exactly once,
         // then each unit within it, so Perfetto rows read "die 3"
         // rather than bare pid/tid numbers.
-        for kind in UnitKind::ALL {
-            let mut units: Vec<u32> = sorted
-                .iter()
-                .filter(|s| s.kind == kind)
-                .map(|s| s.unit)
-                .collect();
+        let mut units: [Vec<u32>; UnitKind::ALL.len()] = Default::default();
+        for s in &spans.spans {
+            units[s.kind as usize].push(s.unit);
+        }
+        for (kind, units) in UnitKind::ALL.into_iter().zip(&mut units) {
             units.sort_unstable();
             units.dedup();
             if units.is_empty() {
                 continue;
             }
-            Self::sep(&mut w, &mut first)?;
+            out.sep();
             write!(
-                w,
+                out.buf,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{name}\"}}}},\n\
                  {{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_sort_index\",\"args\":{{\"sort_index\":{pid}}}}}",
                 pid = kind.pid(),
                 name = kind.as_str(),
             )?;
-            for unit in units {
-                Self::sep(&mut w, &mut first)?;
+            for &unit in units.iter() {
+                out.sep();
                 write!(
-                    w,
+                    out.buf,
                     "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name} {tid}\"}}}}",
                     pid = kind.pid(),
                     tid = unit,
                     name = kind.as_str(),
                 )?;
+                out.flush_if_full()?;
             }
         }
-        for s in &sorted {
-            Self::sep(&mut w, &mut first)?;
-            let ts = micros(s.start.as_ns());
-            if s.end == s.start {
-                write!(
-                    w,
-                    "{{\"name\":{name},\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{\"v\":{v},\"seq\":{seq}}}}}",
-                    name = json_string(s.name),
-                    cat = s.kind.as_str(),
-                    pid = s.kind.pid(),
-                    tid = s.unit,
-                    ts = ts,
-                    v = format_f64(s.value),
-                    seq = s.seq,
-                )?;
-            } else {
-                write!(
-                    w,
-                    "{{\"name\":{name},\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"v\":{v},\"seq\":{seq}}}}}",
-                    name = json_string(s.name),
-                    cat = s.kind.as_str(),
-                    pid = s.kind.pid(),
-                    tid = s.unit,
-                    ts = ts,
-                    dur = micros((s.end - s.start).as_ns()),
-                    v = format_f64(s.value),
-                    seq = s.seq,
-                )?;
+        // The fixed text between a span's name and its `tid`, per kind:
+        // `[kind][0]` for complete events, `[kind][1]` for instants.
+        let heads = UnitKind::ALL.map(|kind| {
+            ["\"X\"", "\"i\",\"s\":\"t\""].map(|ph| {
+                format!(
+                    ",\"cat\":\"{cat}\",\"ph\":{ph},\"pid\":{pid},\"tid\":",
+                    cat = kind.as_str(),
+                    pid = kind.pid(),
+                )
+                .into_bytes()
+            })
+        });
+        let mut names = NameCache::default();
+        for i in spans.export_order() {
+            let s = &spans.spans[i as usize];
+            let instant = s.end == s.start;
+            out.sep();
+            out.put(b"{\"name\":");
+            out.put(names.quoted(s.name));
+            out.put(&heads[s.kind as usize][instant as usize]);
+            out.uint(u64::from(s.unit));
+            out.put(b",\"ts\":");
+            out.micros(s.start.as_ns());
+            if !instant {
+                out.put(b",\"dur\":");
+                out.micros((s.end - s.start).as_ns());
             }
+            out.put(b",\"args\":{\"v\":");
+            out.value(s.value);
+            out.put(b",\"seq\":");
+            out.uint(s.seq);
+            out.put(b"}}");
+            out.flush_if_full()?;
         }
-        w.write_all(b"\n]}\n")
+        out.put(b"\n]}\n");
+        out.w.write_all(&out.buf)
+    }
+}
+
+/// [`ChromeTraceWriter`]'s output: a staging buffer in front of the
+/// sink plus the integer and float formatters the events need.
+struct TraceOut<W> {
+    w: W,
+    buf: Vec<u8>,
+    /// No event written yet (the next one needs no separator).
+    first: bool,
+}
+
+impl<W: Write> TraceOut<W> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
-    fn sep<W: Write>(w: &mut W, first: &mut bool) -> io::Result<()> {
-        if *first {
-            *first = false;
-            Ok(())
+    /// Hands the buffer to the sink once it holds a chunk.
+    fn flush_if_full(&mut self) -> io::Result<()> {
+        if self.buf.len() >= TRACE_CHUNK {
+            self.w.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// The `,\n` between events.
+    fn sep(&mut self) {
+        if self.first {
+            self.first = false;
         } else {
-            w.write_all(b",\n")
+            self.put(b",\n");
+        }
+    }
+
+    /// `n` in decimal.
+    fn uint(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.put(&digits[i..]);
+    }
+
+    /// Nanoseconds as a microsecond decimal with exactly three
+    /// fractional digits (`1234` → `1.234`), entirely in integer math.
+    fn micros(&mut self, ns: u64) {
+        self.uint(ns / 1_000);
+        let f = ns % 1_000;
+        let digit = |d: u64| b'0' + d as u8;
+        self.put(&[b'.', digit(f / 100), digit(f / 10 % 10), digit(f % 10)]);
+    }
+
+    /// A span value exactly as [`format_f64`] renders it. Non-negative
+    /// integers below 1e15 — the hop numbers and byte counts the engine
+    /// records — print as `N.0` without the float formatter; fractions,
+    /// negatives (−0.0 included), non-finite and huge values take the
+    /// general path.
+    fn value(&mut self, v: f64) {
+        let n = v as u64;
+        if v.is_sign_positive() && v < 1e15 && n as f64 == v {
+            self.uint(n);
+            self.put(b".0");
+        } else {
+            self.put(format_f64(v).as_bytes());
         }
     }
 }
 
-/// Nanoseconds rendered as a microsecond decimal with exactly three
-/// fractional digits (`1234` → `"1.234"`), entirely in integer math.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Quoted, escaped span names, each escaped once per export. Names are
+/// `&'static str` literals, so lookup compares address and length.
+#[derive(Default)]
+struct NameCache(Vec<(&'static str, Vec<u8>)>);
+
+impl NameCache {
+    fn quoted(&mut self, name: &'static str) -> &[u8] {
+        let i = match self.0.iter().position(|(n, _)| std::ptr::eq(*n, name)) {
+            Some(i) => i,
+            None => {
+                self.0.push((name, json_string(name).into_bytes()));
+                self.0.len() - 1
+            }
+        };
+        &self.0[i].1
+    }
 }
 
 /// One metric value. Numbers render without quotes; strings are
@@ -616,8 +714,9 @@ mod tests {
         r.record(UnitKind::Die, 1, "sense", t(10), t(15), 0.0);
         r.record(UnitKind::Die, 1, "sense", t(10), t(18), 0.0);
         let order: Vec<(u64, u32, u64)> = r
-            .sorted()
-            .iter()
+            .export_order()
+            .into_iter()
+            .map(|i| &r.spans[i as usize])
             .map(|s| (s.start.as_ns(), s.unit, s.seq))
             .collect();
         assert_eq!(order, vec![(10, 1, 2), (10, 1, 3), (10, 3, 1), (20, 1, 0)]);
@@ -649,10 +748,238 @@ mod tests {
 
     #[test]
     fn micros_is_fixed_point() {
+        let micros = |ns| {
+            let mut out = TraceOut {
+                w: io::sink(),
+                buf: Vec::new(),
+                first: true,
+            };
+            out.micros(ns);
+            String::from_utf8(out.buf).unwrap()
+        };
         assert_eq!(micros(0), "0.000");
         assert_eq!(micros(999), "0.999");
         assert_eq!(micros(1_000), "1.000");
         assert_eq!(micros(1_234_567), "1234.567");
+        assert_eq!(micros(u64::MAX), "18446744073709551.615");
+    }
+
+    /// The exporter as first written (whole-span clone sort, nine
+    /// filter passes, `write!` per event) — the oracle the streaming
+    /// writer must match byte for byte.
+    fn reference_write(spans: &SpanRecorder) -> Vec<u8> {
+        fn micros(ns: u64) -> String {
+            format!("{}.{:03}", ns / 1_000, ns % 1_000)
+        }
+        fn sep(w: &mut Vec<u8>, first: &mut bool) {
+            if *first {
+                *first = false;
+            } else {
+                w.extend_from_slice(b",\n");
+            }
+        }
+        let mut w = Vec::new();
+        w.extend_from_slice(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+        let mut sorted = spans.spans.clone();
+        sorted.sort_by_key(|s| (s.start, s.kind, s.unit, s.seq));
+        let mut first = true;
+        for kind in UnitKind::ALL {
+            let mut units: Vec<u32> = sorted
+                .iter()
+                .filter(|s| s.kind == kind)
+                .map(|s| s.unit)
+                .collect();
+            units.sort_unstable();
+            units.dedup();
+            if units.is_empty() {
+                continue;
+            }
+            sep(&mut w, &mut first);
+            write!(
+                w,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{name}\"}}}},\n\
+                 {{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_sort_index\",\"args\":{{\"sort_index\":{pid}}}}}",
+                pid = kind.pid(),
+                name = kind.as_str(),
+            )
+            .unwrap();
+            for unit in units {
+                sep(&mut w, &mut first);
+                write!(
+                    w,
+                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name} {tid}\"}}}}",
+                    pid = kind.pid(),
+                    tid = unit,
+                    name = kind.as_str(),
+                )
+                .unwrap();
+            }
+        }
+        for s in &sorted {
+            sep(&mut w, &mut first);
+            let ts = micros(s.start.as_ns());
+            if s.end == s.start {
+                write!(
+                    w,
+                    "{{\"name\":{name},\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{\"v\":{v},\"seq\":{seq}}}}}",
+                    name = json_string(s.name),
+                    cat = s.kind.as_str(),
+                    pid = s.kind.pid(),
+                    tid = s.unit,
+                    ts = ts,
+                    v = format_f64(s.value),
+                    seq = s.seq,
+                )
+                .unwrap();
+            } else {
+                write!(
+                    w,
+                    "{{\"name\":{name},\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"v\":{v},\"seq\":{seq}}}}}",
+                    name = json_string(s.name),
+                    cat = s.kind.as_str(),
+                    pid = s.kind.pid(),
+                    tid = s.unit,
+                    ts = ts,
+                    dur = micros((s.end - s.start).as_ns()),
+                    v = format_f64(s.value),
+                    seq = s.seq,
+                )
+                .unwrap();
+            }
+        }
+        w.extend_from_slice(b"\n]}\n");
+        w
+    }
+
+    fn assert_matches_reference(r: &SpanRecorder) {
+        let mut got = Vec::new();
+        ChromeTraceWriter::write(r, &mut got).unwrap();
+        let want = reference_write(r);
+        assert!(
+            got == want,
+            "streaming writer diverged from the reference:\n got: {}\nwant: {}",
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want),
+        );
+    }
+
+    /// A sink that accepts at most a few bytes per call, so the writer's
+    /// chunked hand-off goes through `write_all`'s retry loop.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streaming_writer_matches_reference_byte_for_byte() {
+        const VALUES: [f64; 22] = [
+            0.0,
+            -0.0,
+            1.0,
+            42.0,
+            0.5,
+            0.1,
+            -3.0,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15 - 1.0,
+            1e15,
+            1e15 + 0.5,
+            1e16,
+            1e17,
+            1e300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            123_456_789.0,
+            4_503_599_627_370_496.5,
+            u64::MAX as f64,
+        ];
+        const NAMES: [&str; 6] = [
+            "sense",
+            "xfer",
+            "a\"quote",
+            "back\\slash",
+            "tab\there",
+            "ctl\u{1}\n",
+        ];
+        const KINDS: [UnitKind; 4] = [
+            UnitKind::Channel,
+            UnitKind::Die,
+            UnitKind::Engine,
+            UnitKind::Accelerator,
+        ];
+
+        // Empty recorders, enabled and disabled.
+        assert_matches_reference(&SpanRecorder::disabled());
+        assert_matches_reference(&SpanRecorder::with_capacity(8));
+
+        // Every value and name, with `start` ties across kinds and
+        // units, instants mixed in, recorded out of time order.
+        let mut direct = SpanRecorder::with_capacity(1 << 12);
+        for (i, &v) in VALUES.iter().enumerate() {
+            for (j, &name) in NAMES.iter().enumerate() {
+                let kind = KINDS[(i + j) % KINDS.len()];
+                let start = t(((i * 7 + j * 3) % 5) as u64 * 1_000 + 999);
+                let end = if (i + j) % 3 == 0 {
+                    start
+                } else {
+                    t(start.as_ns() + (i * j) as u64 + 1)
+                };
+                direct.record(kind, (j % 3) as u32, name, start, end, v);
+            }
+        }
+        direct.record(
+            UnitKind::Pcie,
+            u32::MAX,
+            "big",
+            t(u64::MAX - 1),
+            t(u64::MAX),
+            1.0,
+        );
+        assert_matches_reference(&direct);
+
+        // The same spans entered through `absorb` and `record_batch`,
+        // with capacity drops on both paths.
+        let mut absorbed = SpanRecorder::with_capacity(100);
+        absorbed.record(UnitKind::Router, 0, "route", t(999), t(999), 3.0);
+        absorbed.absorb(&direct);
+        assert!(absorbed.dropped() > 0);
+        assert_matches_reference(&absorbed);
+
+        let mut staged: Vec<Span> = direct.spans.iter().rev().copied().collect();
+        let mut batched = SpanRecorder::with_capacity(50);
+        batched.record_batch(&mut staged);
+        assert!(batched.dropped() > 0);
+        assert_matches_reference(&batched);
+
+        // A trace larger than one chunk, through a sink that takes a
+        // few bytes per write.
+        let mut big = SpanRecorder::with_capacity(1 << 14);
+        for i in 0..5_000u64 {
+            let kind = UnitKind::ALL[(i % 9) as usize];
+            big.record(
+                kind,
+                (i % 13) as u32,
+                NAMES[(i % 6) as usize],
+                t(i / 3),
+                t(i / 3 + i % 4),
+                i as f64 / 8.0,
+            );
+        }
+        let mut trickle = Trickle(Vec::new());
+        ChromeTraceWriter::write(&big, &mut trickle).unwrap();
+        assert!(trickle.0.len() > 2 * TRACE_CHUNK);
+        assert!(trickle.0 == reference_write(&big));
     }
 
     #[test]

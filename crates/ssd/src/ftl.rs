@@ -172,6 +172,13 @@ impl FtlStats {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     pages_per_block: usize,
+    /// Exported logical pages (`map`'s length once allocated).
+    logical_pages: usize,
+    /// Physical pages (`rmap`'s length once allocated).
+    physical_pages: usize,
+    /// LPA → PPA and PPA → LPA tables, sized to the whole device and
+    /// allocated on the first host write: an FTL that only serves
+    /// reserved-block flushes (the DirectGraph setup) never needs them.
     map: Vec<Option<Ppa>>,
     rmap: Vec<Option<u64>>,
     blocks: Vec<BlockInfo>,
@@ -201,8 +208,10 @@ impl Ftl {
         let logical_pages = ((physical_pages as f64) * (1.0 - overprovision)) as usize;
         Ftl {
             pages_per_block,
-            map: vec![None; logical_pages],
-            rmap: vec![None; physical_pages],
+            logical_pages,
+            physical_pages,
+            map: Vec::new(),
+            rmap: Vec::new(),
             blocks: vec![
                 BlockInfo {
                     state: BlockState::Free,
@@ -234,7 +243,7 @@ impl Ftl {
 
     /// Exported logical capacity in pages.
     pub fn logical_pages(&self) -> u64 {
-        self.map.len() as u64
+        self.logical_pages as u64
     }
 
     /// Looks up the PPA currently backing `lpa`.
@@ -250,11 +259,15 @@ impl Ftl {
     /// Returns [`FtlError`] when the LPA is out of range or space is
     /// exhausted.
     pub fn write(&mut self, lpa: u64) -> Result<Ppa, FtlError> {
-        if lpa as usize >= self.map.len() {
+        if lpa >= self.logical_pages() {
             return Err(FtlError::LpaOutOfRange {
                 lpa,
                 logical_pages: self.logical_pages(),
             });
+        }
+        if self.map.is_empty() {
+            self.map = vec![None; self.logical_pages];
+            self.rmap = vec![None; self.physical_pages];
         }
         self.invalidate(lpa);
         let ppa = self.allocate_page()?;

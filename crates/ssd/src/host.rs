@@ -16,7 +16,7 @@
 use std::fmt;
 
 use beacon_graph::NodeId;
-use directgraph::{DirectGraph, PageIndex, Validator};
+use directgraph::{DirectGraph, Validator};
 
 use crate::ftl::{BlockId, Ftl, FtlError};
 use crate::nvme::{NvmeCommand, QueuePair, TargetRecord};
@@ -150,7 +150,8 @@ impl HostAdapter {
         let blocks_needed = pages.div_ceil(self.pages_per_block);
         self.reserve(blocks_needed as u32)?;
         // Flush-time validation of embedded addresses (§VI-E check 1):
-        // run once over the image, as the firmware would per page.
+        // the full walk runs the first time this image is flushed; later
+        // flushes of the same unchanged image reuse its memoized result.
         Validator::new(dg).verify_image().map_err(|e| match e {
             directgraph::ValidationError::AddressOutOfBounds { source_page, .. } => {
                 HostError::EmbeddedAddressOutOfBounds {
@@ -159,9 +160,8 @@ impl HostAdapter {
             }
             _ => HostError::NotFlushed,
         })?;
-        let page_indices: Vec<PageIndex> = dg.image().iter_pages().map(|(i, _)| i).collect();
-        for (i, _page_idx) in page_indices.iter().enumerate() {
-            let ppa = self.ppa_of_flushed_page(i as u64);
+        for i in 0..pages as u64 {
+            let ppa = self.ppa_of_flushed_page(i);
             self.flush_one(ppa)?;
         }
         // One P/E cycle per reserved block for the program pass.
@@ -270,7 +270,7 @@ mod tests {
     use super::*;
     use beacon_flash::FlashGeometry;
     use beacon_graph::{generate, FeatureTable};
-    use directgraph::{build::DirectGraphBuilder, AddrLayout};
+    use directgraph::{build::DirectGraphBuilder, AddrLayout, PageIndex};
 
     fn build_dg(n: usize) -> DirectGraph {
         let graph = generate::uniform(n, 5, 2);
