@@ -12,7 +12,7 @@
 //! cargo run --release -p beacon-bench --bin perf_smoke -- --iters 5 --json perf.json
 //! ```
 //!
-//! Nine phases, reported separately so a regression can be attributed:
+//! Eight phases, reported separately so a regression can be attributed:
 //!
 //! 1. **workload build sweep** — synthesizing one 8k-node graph and its
 //!    DirectGraph image at each power of two of build threads up to
@@ -34,17 +34,13 @@
 //!    enabled: simulated results must match the unobserved run exactly,
 //!    two observed runs must produce byte-identical metric reports, and
 //!    the obs wall-clock cost is reported.
-//! 7. **intra-run parallelism** — the phase-3 cell on the partitioned
-//!    per-channel engine at 1 and `--run-threads` worker threads:
-//!    metric reports must be byte-identical (thread-count invariance)
-//!    and the wall-clock ratio feeds the `--min-run-speedup` gate.
-//! 8. **array scale-out** — the phase-3 cell sharded over
+//! 7. **array scale-out** — the phase-3 cell sharded over
 //!    `--array-devices` simulated SSDs (bfs_grow partition, PCIe-P2P
 //!    fabric): the cascade is recorded once, then the replay is timed
 //!    at 1 and `--array-threads` device-lane workers. Reports must be
 //!    byte-identical; the wall-clock ratio feeds the
 //!    `--min-array-speedup` gate.
-//! 9. **record-once / replay-many** — the phase-5 matrix re-run through
+//! 8. **record-once / replay-many** — the phase-5 matrix re-run through
 //!    a fresh [`beacongnn::ReplayCache`]: the first pass records the
 //!    shared cascade once, later passes replay it warm. Every replayed
 //!    registry must be byte-identical to the phase-5 full run; the
@@ -60,11 +56,11 @@
 //! given — the JSON report. `--min-speedup X` / `--min-build-speedup X`
 //! turn the sweeps into gates: the process exits non-zero if the
 //! speedup at the highest job/thread count falls below `X`. These gates
-//! (and `--min-run-speedup X` for phase 7) auto-skip (with a warning)
+//! (and `--min-array-speedup X` for phase 7) auto-skip (with a warning)
 //! when the host has fewer cores than that
 //! count — a single-core container cannot exhibit parallel speedup, and
 //! failing there would only punish the hardware. `--min-replay-speedup
-//! X` gates the phase-9 full/replay ratio, soft-skipping when the full
+//! X` gates the phase-8 full/replay ratio, soft-skipping when the full
 //! pass is too fast to time reliably. `--max-ns-per-event X`
 //! gates the phase-3 wall-clock per simulated event (soft-skipping if
 //! the run reports zero events). `--baseline-json PATH
@@ -81,6 +77,7 @@ use beacongnn::{
     ArrayConfig, Dataset, Experiment, ParallelRunner, Partition, Platform, ReplayCache, RunCell,
     RunMatrix, SsdConfig, Workload, WorkloadCache,
 };
+use simkit::hash::{fnv1a, FNV_OFFSET};
 
 /// Fixed smoke-test shape: large enough that the event calendar and
 /// resource models dominate, small enough to finish in seconds.
@@ -103,28 +100,14 @@ fn smoke_builder() -> beacongnn::WorkloadBuilder {
         .seed(SEED)
 }
 
-/// FNV-1a fold, for order-sensitive digests of result streams.
-fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 fn main() {
     let mut iters = 3usize;
     let mut jobs = 4usize;
     let mut build_jobs = 4usize;
-    let mut run_threads = 4usize;
     let mut array_devices = 8usize;
     let mut array_threads = 4usize;
     let mut min_speedup: Option<f64> = None;
     let mut min_build_speedup: Option<f64> = None;
-    let mut min_run_speedup: Option<f64> = None;
     let mut min_array_speedup: Option<f64> = None;
     let mut min_replay_speedup: Option<f64> = None;
     let mut max_ns_per_event: Option<f64> = None;
@@ -137,15 +120,11 @@ fn main() {
             "--iters" => iters = parse_arg(&mut args, "--iters"),
             "--jobs" => jobs = parse_arg(&mut args, "--jobs"),
             "--build-jobs" => build_jobs = parse_arg(&mut args, "--build-jobs"),
-            "--run-threads" => run_threads = parse_arg(&mut args, "--run-threads"),
             "--array-devices" => array_devices = parse_arg(&mut args, "--array-devices"),
             "--array-threads" => array_threads = parse_arg(&mut args, "--array-threads"),
             "--min-speedup" => min_speedup = Some(parse_arg(&mut args, "--min-speedup")),
             "--min-build-speedup" => {
                 min_build_speedup = Some(parse_arg(&mut args, "--min-build-speedup"))
-            }
-            "--min-run-speedup" => {
-                min_run_speedup = Some(parse_arg(&mut args, "--min-run-speedup"))
             }
             "--min-array-speedup" => {
                 min_array_speedup = Some(parse_arg(&mut args, "--min-array-speedup"))
@@ -164,10 +143,10 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument `{other}`; usage: perf_smoke [--iters N] [--jobs N] \
-                     [--build-jobs N] [--run-threads N] [--array-devices N] [--array-threads N] \
-                     [--min-speedup X] [--min-build-speedup X] [--min-run-speedup X] \
-                     [--min-array-speedup X] [--min-replay-speedup X] [--max-ns-per-event X] \
-                     [--json PATH] [--baseline-json PATH] [--max-regress-pct X]"
+                     [--build-jobs N] [--array-devices N] [--array-threads N] [--min-speedup X] \
+                     [--min-build-speedup X] [--min-array-speedup X] [--min-replay-speedup X] \
+                     [--max-ns-per-event X] [--json PATH] [--baseline-json PATH] \
+                     [--max-regress-pct X]"
                 );
                 std::process::exit(2);
             }
@@ -176,7 +155,6 @@ fn main() {
     let iters = iters.max(1);
     let jobs = jobs.max(1);
     let build_jobs = build_jobs.max(1);
-    let run_threads = run_threads.max(1);
     let array_devices = array_devices.max(1);
     let array_threads = array_threads.max(1);
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -292,7 +270,7 @@ fn main() {
     // Phases 4–5 pin the disabled replay cache: their wall-clocks are
     // hot-path numbers (the `--baseline-json` gate tracks phase 5), so
     // they must keep timing full execution even though the default
-    // entry points now record/replay shared cascades. Phase 9 measures
+    // entry points now record/replay shared cascades. Phase 8 measures
     // the replay delta explicitly.
     let no_replay = ReplayCache::disabled();
     let ts = Instant::now();
@@ -300,9 +278,9 @@ fn main() {
     let sequential_s = ts.elapsed().as_secs_f64();
     eprintln!("matrix sequential: {sequential_s:.3} s");
     let matrix_digest = baseline.iter().fold(FNV_OFFSET, |h, m| {
-        let h = fnv1a_fold(h, &m.nodes_visited.to_le_bytes());
-        let h = fnv1a_fold(h, &m.flash_reads.to_le_bytes());
-        fnv1a_fold(h, &m.makespan.as_ns().to_le_bytes())
+        let h = fnv1a(h, &m.nodes_visited.to_le_bytes());
+        let h = fnv1a(h, &m.flash_reads.to_le_bytes());
+        fnv1a(h, &m.makespan.as_ns().to_le_bytes())
     });
     println!("digest matrix 0x{matrix_digest:016x}");
 
@@ -348,9 +326,9 @@ fn main() {
     let fig18_results = fig18_matrix.run_sequential_with(&no_replay);
     let fig18_matrix_s = t.elapsed().as_secs_f64();
     let fig18_digest = fig18_results.iter().fold(FNV_OFFSET, |h, m| {
-        let h = fnv1a_fold(h, &m.nodes_visited.to_le_bytes());
-        let h = fnv1a_fold(h, &m.flash_reads.to_le_bytes());
-        fnv1a_fold(h, &m.makespan.as_ns().to_le_bytes())
+        let h = fnv1a(h, &m.nodes_visited.to_le_bytes());
+        let h = fnv1a(h, &m.flash_reads.to_le_bytes());
+        fnv1a(h, &m.makespan.as_ns().to_le_bytes())
     });
     eprintln!(
         "fig18 matrix ({} cells, obs disabled): {fig18_matrix_s:.3} s",
@@ -396,7 +374,7 @@ fn main() {
     } else {
         0.0
     };
-    let report_digest = fnv1a_fold(FNV_OFFSET, report_a.as_bytes());
+    let report_digest = fnv1a(FNV_OFFSET, report_a.as_bytes());
     eprintln!(
         "observed run: best {obs_best:.3} s ({obs_overhead_pct:+.1}% vs unobserved best), \
          {} spans, report {} bytes",
@@ -405,50 +383,7 @@ fn main() {
     );
     println!("digest metrics 0x{report_digest:016x}");
 
-    // Phase 7: intra-run parallelism. The same BG-2 cell on the
-    // partitioned per-channel engine, serial round protocol vs
-    // `--run-threads` workers. Results must be byte-identical (the
-    // partitioned engine's own thread-invariance contract); the
-    // wall-clock ratio is the single-run scaling number the
-    // `--min-run-speedup` gate tracks.
-    let mut part_t1 = Vec::with_capacity(iters);
-    let mut part_tn = Vec::with_capacity(iters);
-    let mut part_serial = None;
-    let mut part_parallel = None;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let m = exp.run_partitioned(Platform::Bg2, 1);
-        part_t1.push(t.elapsed().as_secs_f64());
-        part_serial = Some(m);
-        let t = Instant::now();
-        let m = exp.run_partitioned(Platform::Bg2, run_threads);
-        part_tn.push(t.elapsed().as_secs_f64());
-        part_parallel = Some(m);
-    }
-    let part_serial = part_serial.expect("at least one partitioned run");
-    let part_parallel = part_parallel.expect("at least one partitioned run");
-    let part_report = part_serial.metrics_registry().to_json_string();
-    assert_eq!(
-        part_report,
-        part_parallel.metrics_registry().to_json_string(),
-        "partitioned engine must be byte-identical at any thread count"
-    );
-    let part_t1_best = part_t1.iter().cloned().fold(f64::INFINITY, f64::min);
-    let part_tn_best = part_tn.iter().cloned().fold(f64::INFINITY, f64::min);
-    let run_speedup = if part_tn_best > 0.0 {
-        part_t1_best / part_tn_best
-    } else {
-        1.0
-    };
-    let part_digest = fnv1a_fold(FNV_OFFSET, part_report.as_bytes());
-    eprintln!(
-        "partitioned run: 1 thread best {part_t1_best:.3} s, {run_threads} threads best \
-         {part_tn_best:.3} s, speedup {run_speedup:.2}x, makespan {}",
-        part_serial.makespan
-    );
-    println!("digest partition 0x{part_digest:016x}");
-
-    // Phase 8: array scale-out. The phase-3 cell sharded over
+    // Phase 7: array scale-out. The phase-3 cell sharded over
     // `--array-devices` simulated SSDs behind the partition-aware host
     // router. The cascade records once (serial, timed apart); only the
     // device-lane replay is timed at 1 vs `--array-threads` workers —
@@ -506,7 +441,7 @@ fn main() {
     } else {
         0.0
     };
-    let array_digest = fnv1a_fold(FNV_OFFSET, array_report.as_bytes());
+    let array_digest = fnv1a(FNV_OFFSET, array_report.as_bytes());
     eprintln!(
         "array replay ({array_devices} devices): record {array_record_s:.3} s, 1 thread best \
          {array_t1_best:.3} s, {array_threads} threads best {array_tn_best:.3} s, speedup \
@@ -517,7 +452,7 @@ fn main() {
     );
     println!("digest array 0x{array_digest:016x}");
 
-    // Phase 9: record-once / replay-many. The phase-5 matrix (16 cells,
+    // Phase 8: record-once / replay-many. The phase-5 matrix (16 cells,
     // one shared workload ⇒ one replay key) re-run through a fresh
     // in-memory ReplayCache. The cold pass pays the single canonical
     // recording; warm passes replay every cell. Every replayed registry
@@ -582,7 +517,7 @@ fn main() {
         1.0
     };
     let replay_digest = replay_warm.iter().fold(FNV_OFFSET, |h, m| {
-        fnv1a_fold(h, m.metrics_registry().to_json_string().as_bytes())
+        fnv1a(h, m.metrics_registry().to_json_string().as_bytes())
     });
     eprintln!(
         "replay matrix ({} cells): full {fig18_matrix_s:.3} s, cold (record+replay) \
@@ -669,12 +604,6 @@ fn main() {
     );
     let _ = write!(
         json,
-        "\"partition\": {{\"threads\": {run_threads}, \"t1_best_s\": {part_t1_best:.6}, \
-         \"tn_best_s\": {part_tn_best:.6}, \"speedup\": {run_speedup:.4}, \
-         \"digest\": \"0x{part_digest:016x}\"}}, "
-    );
-    let _ = write!(
-        json,
         "\"array\": {{\"devices\": {array_devices}, \"threads\": {array_threads}, \
          \"record_s\": {array_record_s:.6}, \"t1_best_s\": {array_t1_best:.6}, \
          \"tn_best_s\": {array_tn_best:.6}, \"speedup\": {array_speedup:.4}, \
@@ -736,22 +665,6 @@ fn main() {
             failed = true;
         } else {
             eprintln!("speedup gate passed: {top_speedup:.2}x >= {min:.2}x");
-        }
-    }
-    if let Some(min) = min_run_speedup {
-        if host_cores < run_threads {
-            eprintln!(
-                "run speedup gate skipped: host has {host_cores} cores, \
-                 cannot scale to {run_threads} run threads"
-            );
-        } else if run_speedup < min {
-            eprintln!(
-                "run speedup gate FAILED: {run_speedup:.2}x at --run-threads {run_threads} \
-                 (required >= {min:.2}x)"
-            );
-            failed = true;
-        } else {
-            eprintln!("run speedup gate passed: {run_speedup:.2}x >= {min:.2}x");
         }
     }
     if let Some(min) = min_array_speedup {

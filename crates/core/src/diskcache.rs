@@ -61,6 +61,7 @@ use beacon_gnn::GnnModelConfig;
 use beacon_graph::{CsrGraph, Dataset, DatasetSpec, FeatureTable, NodeId};
 use beacon_platforms::CascadeRecording;
 use directgraph::DirectGraph;
+use simkit::hash::{fnv1a, FNV_OFFSET};
 
 use crate::workload::Workload;
 
@@ -113,7 +114,10 @@ pub(crate) fn default_dir() -> Option<PathBuf> {
 
 /// The cache file path for a fingerprint inside `dir`.
 pub(crate) fn file_path(dir: &Path, fingerprint: &str) -> PathBuf {
-    dir.join(format!("bwc1-{:016x}.bin", fnv1a(fingerprint.as_bytes())))
+    dir.join(format!(
+        "bwc1-{:016x}.bin",
+        fnv1a(FNV_OFFSET, fingerprint.as_bytes())
+    ))
 }
 
 /// Attempts to load the workload for `fingerprint` from `dir`.
@@ -183,13 +187,13 @@ fn try_save(dir: &Path, fingerprint: &str, w: &Workload) -> std::io::Result<()> 
     let tmp = dir.join(format!(
         "tmp-{}-{:016x}",
         std::process::id(),
-        fnv1a(fingerprint.as_bytes())
+        fnv1a(FNV_OFFSET, fingerprint.as_bytes())
     ));
     {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(MAGIC)?;
         file.write_all(&payload)?;
-        file.write_all(&fnv1a(&payload).to_le_bytes())?;
+        file.write_all(&fnv1a(FNV_OFFSET, &payload).to_le_bytes())?;
         file.sync_all()?;
     }
     // Atomic publish: readers see either the old file or the complete
@@ -209,7 +213,7 @@ fn try_load(path: &Path, fingerprint: &str) -> Option<Workload> {
     }
     let (payload, tail) = bytes[MAGIC.len()..].split_at(bytes.len() - MAGIC.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a(payload) != stored {
+    if fnv1a(FNV_OFFSET, payload) != stored {
         return None;
     }
 
@@ -310,7 +314,10 @@ fn try_load(path: &Path, fingerprint: &str) -> Option<Workload> {
 /// streams, DirectGraph placement, batch drawing) also invalidates any
 /// cascade recorded from it.
 pub(crate) fn recording_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("brc1-{:016x}.bin", fnv1a(key.as_bytes())))
+    dir.join(format!(
+        "brc1-{:016x}.bin",
+        fnv1a(FNV_OFFSET, key.as_bytes())
+    ))
 }
 
 /// Attempts to load the cascade recording for `key` from `dir`.
@@ -325,7 +332,7 @@ pub(crate) fn load_recording(dir: &Path, key: &str) -> Option<CascadeRecording> 
     let (payload, tail) =
         bytes[RECORDING_MAGIC.len()..].split_at(bytes.len() - RECORDING_MAGIC.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a(payload) != stored {
+    if fnv1a(FNV_OFFSET, payload) != stored {
         return None;
     }
     let mut cur = Cursor { buf: payload };
@@ -360,13 +367,13 @@ fn try_save_recording(dir: &Path, key: &str, recording: &CascadeRecording) -> st
     let tmp = dir.join(format!(
         "tmp-rec-{}-{:016x}",
         std::process::id(),
-        fnv1a(key.as_bytes())
+        fnv1a(FNV_OFFSET, key.as_bytes())
     ));
     {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(RECORDING_MAGIC)?;
         file.write_all(&payload)?;
-        file.write_all(&fnv1a(&payload).to_le_bytes())?;
+        file.write_all(&fnv1a(FNV_OFFSET, &payload).to_le_bytes())?;
         file.sync_all()?;
     }
     let result = std::fs::rename(&tmp, recording_path(dir, key));
@@ -415,15 +422,6 @@ impl Cursor<'_> {
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
     out.extend_from_slice(bytes);
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -524,7 +522,7 @@ mod tests {
         let mut reversioned = pristine.clone();
         reversioned[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let body_end = reversioned.len() - 8;
-        let sum = fnv1a(&reversioned[4..body_end]);
+        let sum = fnv1a(FNV_OFFSET, &reversioned[4..body_end]);
         reversioned[body_end..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &reversioned).unwrap();
         assert!(load(&dir, &key).is_none(), "future version must miss");

@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use beacon_platforms::{Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
+use simkit::hash::{fnv1a, FNV_OFFSET};
 
 use crate::diskcache;
 use crate::replaycache::ReplayCache;
@@ -46,16 +47,6 @@ const _: () = {
     assert_send_sync::<RunCell>();
     assert_send_sync::<RunMatrix>();
 };
-
-/// FNV-1a over `bytes`, continuing from hash state `h`.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// SplitMix64 finalizer: spreads related FNV states far apart so
 /// per-die XOR-derived TRNG streams (see `Engine::new`) never overlap
@@ -130,8 +121,7 @@ impl RunCell {
     /// exist or in what order any runner executes them, which is what
     /// keeps seed sweeps reproducible under `--jobs N`.
     pub fn derive_seed(mut self, salt: u64) -> Self {
-        let mut h = 0xCBF2_9CE4_8422_2325; // FNV offset basis
-        h = fnv1a(h, self.platform.spec().name.as_bytes());
+        let mut h = fnv1a(FNV_OFFSET, self.platform.spec().name.as_bytes());
         h = fnv1a(h, format!("{:?}", self.ssd).as_bytes());
         h = fnv1a(h, &self.workload.seed().to_le_bytes());
         h = fnv1a(h, &salt.to_le_bytes());

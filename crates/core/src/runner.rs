@@ -1,9 +1,7 @@
 //! Experiment runner: platforms × workloads × device configs.
 
 use beacon_graph::Partition;
-use beacon_platforms::{
-    ArrayConfig, ArrayEngine, ArrayRunMetrics, Engine, PartitionedEngine, Platform, RunMetrics,
-};
+use beacon_platforms::{ArrayConfig, ArrayEngine, ArrayRunMetrics, Engine, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
 use crate::replaycache::ReplayCache;
@@ -71,24 +69,6 @@ impl<'a> Experiment<'a> {
     /// [`ReplayCache::set_enabled`]`(false)` to force full execution.
     pub fn run(&self, platform: Platform) -> RunMetrics {
         ReplayCache::global().run_single(platform, self.ssd, self.workload, self.seed)
-    }
-
-    /// Runs one platform on the partitioned per-channel engine with
-    /// `threads` worker threads (see
-    /// [`PartitionedEngine`](beacon_platforms::PartitionedEngine)).
-    /// Results are byte-identical at any thread count; platforms whose
-    /// pipeline is not channel-separable (everything except BG-2) fall
-    /// back to the serial engine and match [`Experiment::run`] exactly.
-    pub fn run_partitioned(&self, platform: Platform, threads: usize) -> RunMetrics {
-        PartitionedEngine::new(
-            platform,
-            self.ssd,
-            self.workload.model(),
-            self.workload.directgraph(),
-            self.seed,
-        )
-        .threads(threads)
-        .run(self.workload.batches())
     }
 
     /// Builds the multi-SSD array engine for one platform (see

@@ -21,6 +21,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use beacon_graph::{CsrGraph, FeatureTable, NodeId};
+use simkit::hash::{fnv1a, FNV_OFFSET};
 
 use crate::addr::{AddrLayout, PageIndex, PhysAddr};
 use crate::image::PageStore;
@@ -213,15 +214,8 @@ impl DirectGraph {
     /// image hash" used to assert byte-identical construction across
     /// build-thread counts and cache round-trips.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         eat(&(self.layout.page_size() as u64).to_le_bytes());
         for (idx, bytes) in self.store.iter_pages() {
             eat(&idx.as_u64().to_le_bytes());

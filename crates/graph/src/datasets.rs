@@ -11,6 +11,7 @@
 use crate::csr::CsrGraph;
 use crate::features::{FeatureTable, FEATURE_SCALAR_BYTES};
 use crate::generate::{power_law, PowerLawConfig};
+use simkit::hash::{fnv1a, FNV_OFFSET};
 
 /// The five evaluation workloads of the paper's Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,7 +115,10 @@ impl DatasetSpec {
     pub fn build_graph(&self, seed: u64) -> CsrGraph {
         let mut cfg = PowerLawConfig::new(self.num_nodes, self.avg_degree);
         cfg.exponent = self.degree_exponent;
-        power_law(&cfg, seed ^ fnv(self.dataset.name()))
+        power_law(
+            &cfg,
+            seed ^ fnv1a(FNV_OFFSET, self.dataset.name().as_bytes()),
+        )
     }
 
     /// Synthesizes the feature table for this spec.
@@ -134,15 +138,6 @@ impl DatasetSpec {
         let edges = (num_nodes as f64 * self.avg_degree) as u64;
         edges * 4 + (num_nodes * self.feature_bytes()) as u64
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@
 //! compute growing linearly. This module models that array two ways:
 //!
 //! * [`ArrayEngine`] — the simulated path: a discrete-event multi-SSD
-//!   simulation with one *device lane* per SSD, advanced under the same
-//!   conservative-lookahead round protocol as the per-channel
-//!   [`PartitionedEngine`](crate::PartitionedEngine), with the
+//!   simulation with one *device lane* per SSD, advanced under a
+//!   conservative-lookahead round protocol (`simkit::sync`), with the
 //!   partition-aware host router dispatching each mini-batch target to
 //!   its owning device and cross-partition expansions riding the
 //!   explicit fabric cost model of [`FabricConfig`].
@@ -49,10 +48,10 @@
 //!
 //! ## Determinism
 //!
-//! The lane protocol is the per-channel engine's, lifted from channels
-//! to devices: lanes drain events strictly below a shared horizon (the
-//! next multiple of the fabric hop latency — the minimum cross-device
-//! delay — above the earliest pending event), and everything crossing a
+//! The lane protocol follows `simkit::sync`: lanes drain events
+//! strictly below a shared horizon (the next multiple of the fabric hop
+//! latency — the minimum cross-device delay — above the earliest
+//! pending event), and everything crossing a
 //! device boundary is buffered, globally sorted by `(time, record
 //! index)`, and applied by the coordinator alone: fabric link grants in
 //! sorted order, deliveries quantized to the next window boundary.
@@ -80,7 +79,6 @@ use crate::metrics::{
     AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
     TimelineBuilder,
 };
-use crate::partition::accel_config;
 use crate::replay::{CascadeRec, CascadeRecording};
 use crate::spec::Platform;
 
@@ -798,8 +796,7 @@ impl DevLane {
         let fb = ctx.recs[rec as usize].feature_bytes as u64;
         if fb > 0 && !self.ssd.dram_bypass {
             // Stage in this device's own DRAM; the lane owns it, so the
-            // transfer is lane-local (unlike the per-channel engine's
-            // shared-DRAM coordinator round trip).
+            // transfer is lane-local.
             let grant = self.dram.transfer(now, fb);
             self.dram_bytes += fb;
             let h = self.lat(rec);
@@ -893,9 +890,8 @@ impl DevLane {
 /// latency tracking is off.
 type ADelivery = (u64, DevEvent, Option<PathAttr>);
 
-/// State shared between the coordinator (main thread) and the lane
-/// workers; the exact shape of the per-channel engine's, lifted to
-/// device lanes.
+/// State shared between the coordinator (main thread) and the device
+/// lane workers.
 struct AShared {
     epochs: EpochWindow,
     horizon: AtomicU64,
@@ -1402,7 +1398,7 @@ impl<'a> ArrayEngine<'a> {
         driver: &mut dyn RoundDriver,
     ) {
         let spec = self.platform.spec();
-        let accel = accel_config(&spec);
+        let accel = spec.accel_config();
         let devs = self.array.ssds;
         let mut compute_free = vec![SimTime::ZERO; devs];
         let mut prep_cursor = SimTime::ZERO;
@@ -1528,7 +1524,7 @@ impl<'a> ArrayEngine<'a> {
         single_throughput: f64,
     ) -> ArrayRunMetrics {
         let spec = self.platform.spec();
-        let accel = accel_config(&spec);
+        let accel = spec.accel_config();
         let devs = self.array.ssds;
         let hops = self.model.hops as usize + 2;
         let mut cmd_breakdown = CmdBreakdown::default();

@@ -40,9 +40,7 @@ use crate::metrics::{
     TimelineBuilder,
 };
 use crate::replay::{CascadeRecorder, CascadeRecording};
-use crate::spec::{
-    BackendControl, ComputeLocation, Platform, PlatformSpec, SamplingLocation, TransferGranularity,
-};
+use crate::spec::{BackendControl, Platform, PlatformSpec, SamplingLocation, TransferGranularity};
 
 /// Fixed on-die time for the sampler logic (section walk, TRNG draws,
 /// command generation) on die-sampling platforms.
@@ -312,17 +310,17 @@ impl FlashServiceMemo {
 /// `new_commands` allocation, so in steady state the sampler writes
 /// into recycled vectors and the hot path never touches the allocator.
 #[derive(Debug, Default)]
-pub(crate) struct OutcomePool {
-    pub(crate) slots: Vec<SampleOutcome>,
+struct OutcomePool {
+    slots: Vec<SampleOutcome>,
     free: Vec<OutcomeIdx>,
-    pub(crate) allocated: u64,
-    pub(crate) reused: u64,
+    allocated: u64,
+    reused: u64,
     in_use: u64,
-    pub(crate) in_use_high_water: u64,
+    in_use_high_water: u64,
 }
 
 impl OutcomePool {
-    pub(crate) fn acquire(&mut self) -> OutcomeIdx {
+    fn acquire(&mut self) -> OutcomeIdx {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.reused += 1;
@@ -344,7 +342,7 @@ impl OutcomePool {
         idx
     }
 
-    pub(crate) fn release(&mut self, idx: OutcomeIdx) {
+    fn release(&mut self, idx: OutcomeIdx) {
         let o = &mut self.slots[idx as usize];
         o.visited = None;
         o.feature_bytes = 0;
@@ -353,7 +351,7 @@ impl OutcomePool {
         self.in_use -= 1;
     }
 
-    pub(crate) fn get(&self, idx: OutcomeIdx) -> &SampleOutcome {
+    fn get(&self, idx: OutcomeIdx) -> &SampleOutcome {
         &self.slots[idx as usize]
     }
 
@@ -745,12 +743,7 @@ impl<'a> Engine<'a> {
 
     fn run_inner(&mut self, batches: &[Vec<NodeId>]) -> RunMetrics {
         let _run_phase = profile::phase("engine/run");
-        let workload = MinibatchWorkload::new(self.model, 0);
-        let _ = workload; // per-batch workloads built below (sizes vary)
-        let accel = match self.spec.compute {
-            ComputeLocation::DiscreteAccel => beacon_accel::AcceleratorConfig::discrete_tpu(),
-            ComputeLocation::SsdAccel => beacon_accel::AcceleratorConfig::ssd_internal(),
-        };
+        let accel = self.spec.accel_config();
 
         let mut prep_total = Duration::ZERO;
         let mut compute_total = Duration::ZERO;
@@ -770,9 +763,9 @@ impl<'a> Engine<'a> {
         for (bi, batch) in batches.iter().enumerate() {
             targets_total += batch.len() as u64;
             self.record_hops = bi == 0;
-            // §VI-D double buffering (see beacon_ssd::gnn_engine): the
-            // DRAM region has two halves, so batch i's preparation can
-            // only start once batch i-2's computation released its half.
+            // Double buffering (paper §VI-D): the DRAM region has two
+            // halves, so batch i's preparation can only start once batch
+            // i-2's computation released its half.
             let buffer_ready = if bi >= 2 {
                 compute_ends[bi - 2]
             } else {

@@ -9,9 +9,6 @@
 //!   BG-1 → BG-2 ablation chain, expressed as feature flags.
 //! * [`Engine`] — the event-driven data-preparation + compute pipeline
 //!   (see [`engine`] docs for the stage diagram).
-//! * [`PartitionedEngine`] — the same BG-2 pipeline as N per-channel
-//!   event loops under conservative lookahead (see [`partition`]),
-//!   with identical output at any worker-thread count.
 //! * [`ArrayEngine`] — the multi-SSD array simulation (see [`array`]):
 //!   one device lane per SSD behind a partition-aware host router,
 //!   with an explicit fabric cost model and the same determinism
@@ -48,7 +45,6 @@ pub mod engine;
 pub(crate) mod lat;
 pub mod metrics;
 pub mod motivation;
-pub mod partition;
 pub mod query;
 pub mod replay;
 pub mod spec;
@@ -62,7 +58,6 @@ pub use metrics::{
     AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
     TimelineBuilder,
 };
-pub use partition::PartitionedEngine;
 pub use query::{measure_query_latency, query_latency_under_load, QueryLatency};
 pub use replay::CascadeRecording;
 pub use spec::{

@@ -205,11 +205,11 @@ pub struct PoolCounters {
     /// (cold-equivalent free-list reuse).
     pub outcome_slots_reused: u64,
     /// High-water mark of events resident in the calendar's near-horizon
-    /// wheel during the run (max across lanes for partitioned runs).
+    /// wheel during the run.
     /// Diagnostic only — not part of the serialized metrics registry.
     pub calendar_wheel_high_water: u64,
     /// High-water mark of events parked in the calendar's far/overflow
-    /// tier during the run (max across lanes for partitioned runs).
+    /// tier during the run.
     /// Diagnostic only — not part of the serialized metrics registry.
     pub calendar_far_high_water: u64,
 }
@@ -289,8 +289,8 @@ pub struct RunMetrics {
     /// Accelerator array occupancy over the compute window.
     pub accel_occupancy: AccelOccupancy,
     /// Per-query latency report (disabled/empty unless enabled via
-    /// [`Engine::with_latency`](crate::Engine::with_latency) or the
-    /// partitioned/array equivalents).
+    /// [`Engine::with_latency`](crate::Engine::with_latency) or
+    /// [`ArrayEngine::with_latency`](crate::ArrayEngine::with_latency)).
     pub latency: LatencyReport,
 }
 

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use beacon_accel::AcceleratorConfig;
+
 /// Where neighbor sampling executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SamplingLocation {
@@ -230,8 +232,7 @@ impl PlatformSpec {
     /// bytes cross the channel, and neither the host nor a hop barrier
     /// sits in the command path — so a command's whole lifetime touches
     /// one channel's resources. Exactly BG-2 in the paper's lineup.
-    /// This is the precondition for both the partitioned per-channel
-    /// engine and the multi-SSD array replay.
+    /// This is the precondition for the multi-SSD array replay.
     pub fn channel_separable(&self) -> bool {
         self.backend_control == BackendControl::HardwareRouter
             && self.sampling == SamplingLocation::Die
@@ -239,6 +240,14 @@ impl PlatformSpec {
             && !self.hop_barrier
             && !self.features_cross_pcie
             && !self.host_feature_lookup
+    }
+
+    /// The accelerator that runs this platform's GNN computation.
+    pub fn accel_config(&self) -> AcceleratorConfig {
+        match self.compute {
+            ComputeLocation::DiscreteAccel => AcceleratorConfig::discrete_tpu(),
+            ComputeLocation::SsdAccel => AcceleratorConfig::ssd_internal(),
+        }
     }
 }
 

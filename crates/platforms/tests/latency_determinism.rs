@@ -4,15 +4,12 @@
 //! The contract (see `simkit::obs::latency` and the engines' latency
 //! wiring): the `latency` / `latency_breakdown` registry sections are a
 //! pure function of the simulated configuration. Replaying a recorded
-//! cascade must produce the identical report, the partitioned engine
-//! must render it byte-identically at any worker-thread count, and a
-//! one-device array must match the serial engine verbatim.
+//! cascade must produce the identical report, and a one-device array
+//! must match the serial engine verbatim.
 
 use beacon_gnn::GnnModelConfig;
 use beacon_graph::{generate, CsrGraph, FeatureTable, NodeId, Partition};
-use beacon_platforms::{
-    ArrayConfig, ArrayEngine, Engine, EngineScratch, PartitionedEngine, Platform, RunMetrics,
-};
+use beacon_platforms::{ArrayConfig, ArrayEngine, Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 use directgraph::{build::DirectGraphBuilder, AddrLayout, DirectGraph};
 use proptest::prelude::*;
@@ -91,36 +88,6 @@ proptest! {
         let replayed = engine().replay_with(&mut scratch, &recording, &b);
         prop_assert_eq!(&report(&recorded), &report(&full), "recording run drifted");
         prop_assert_eq!(&report(&replayed), &report(&full), "replay drifted");
-    }
-
-    /// Thread count is invisible to the latency report: the partitioned
-    /// engine renders byte-identical `latency` / `latency_breakdown`
-    /// sections (inside the full registry) at 1, 2, and 8 workers.
-    #[test]
-    fn partitioned_latency_is_thread_count_invariant(
-        nodes in 300usize..900,
-        batch in 4usize..24,
-        n_batches in 1usize..3,
-        channels in 1usize..6,
-        epoch_ns in 1_000u64..200_000,
-        seed in 0u64..1_000,
-    ) {
-        let (_, dg) = build_graph(nodes, 16.0, 64, seed);
-        let model = GnnModelConfig::paper_default(64);
-        let ssd = SsdConfig::paper_default().with_channels(channels);
-        let b = batches_for(nodes, batch, n_batches);
-        let run = |threads: usize| {
-            PartitionedEngine::new(Platform::Bg2, ssd, model, &dg, seed)
-                .with_latency(Duration::from_ns(epoch_ns))
-                .threads(threads)
-                .run(&b)
-        };
-        let reference = run(1);
-        check_report(&reference, batch * n_batches);
-        let reference = report(&reference);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(&report(&run(threads)), &reference, "threads={}", threads);
-        }
     }
 }
 

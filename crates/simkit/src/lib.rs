@@ -8,15 +8,16 @@
 //! * [`Calendar`] — a monotonic event calendar (priority queue) with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
 //!   instant.
+//! * [`hash`] — FNV-1a, the workspace's digest and checksum hash.
 //! * [`rng`] — seedable, portable pseudo-random number generators
 //!   (SplitMix64 and xoshiro256**). Simulations never touch OS entropy,
 //!   so identical configurations replay identically.
 //! * [`par`] — deterministic build-time parallelism: fixed-boundary
 //!   chunking over scoped worker threads, byte-identical at any thread
 //!   count.
-//! * [`sync`] — conservative-lookahead primitives for partitioned
+//! * [`sync`] — conservative-lookahead primitives for multi-lane
 //!   event loops: epoch-window horizon math and a deterministically
-//!   ordered cross-partition message pool.
+//!   ordered cross-lane message pool.
 //! * [`stats`] — counters, streaming summaries, fixed-bin histograms,
 //!   time-weighted utilization trackers and event timelines used to
 //!   regenerate the paper's figures.
@@ -40,6 +41,7 @@
 //! ```
 
 pub mod calendar;
+pub mod hash;
 pub mod obs;
 pub mod par;
 pub mod profile;

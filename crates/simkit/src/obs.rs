@@ -216,19 +216,6 @@ impl SpanRecorder {
         self.spans.iter()
     }
 
-    /// Appends another recorder's spans, re-stamping their sequence
-    /// numbers to continue this recorder's — the merge step for
-    /// per-partition recorders. Absorbing in a fixed partition order
-    /// yields one recorder indistinguishable from a serial recording;
-    /// capacity and drop accounting behave exactly as if the absorbed
-    /// spans had been recorded here directly.
-    pub fn absorb(&mut self, other: &SpanRecorder) {
-        self.dropped += other.dropped;
-        for s in &other.spans {
-            self.record(s.kind, s.unit, s.name, s.start, s.end, s.value);
-        }
-    }
-
     /// Absorbs spans a caller staged in exact record order (their `seq`
     /// fields are ignored and re-stamped), clearing `batch`.
     ///
@@ -948,14 +935,8 @@ mod tests {
         );
         assert_matches_reference(&direct);
 
-        // The same spans entered through `absorb` and `record_batch`,
-        // with capacity drops on both paths.
-        let mut absorbed = SpanRecorder::with_capacity(100);
-        absorbed.record(UnitKind::Router, 0, "route", t(999), t(999), 3.0);
-        absorbed.absorb(&direct);
-        assert!(absorbed.dropped() > 0);
-        assert_matches_reference(&absorbed);
-
+        // The same spans entered through `record_batch`, with capacity
+        // drops.
         let mut staged: Vec<Span> = direct.spans.iter().rev().copied().collect();
         let mut batched = SpanRecorder::with_capacity(50);
         batched.record_batch(&mut staged);

@@ -141,7 +141,7 @@ impl PathAttr {
 
 /// A free-list arena of [`PathAttr`]s for engines whose in-flight
 /// commands are identified by a small handle rather than a stable slot
-/// (the partitioned lanes and array device lanes).
+/// (the array's device lanes).
 ///
 /// Allocation order is driven entirely by the lane's deterministic
 /// event stream, so handles are reproducible run-to-run.

@@ -1,6 +1,7 @@
-//! Conservative-lookahead synchronization for partitioned event loops.
+//! Conservative-lookahead synchronization for multi-lane event loops.
 //!
-//! A partitioned simulation splits its units into *lanes* that each own
+//! A multi-lane simulation (the multi-SSD array's device lanes) splits
+//! its units into *lanes* that each own
 //! a private calendar and advance in bulk-synchronous *rounds*: every
 //! round the coordinator picks a shared horizon, each lane drains its
 //! calendar strictly below the horizon, and everything a lane wants to

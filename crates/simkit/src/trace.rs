@@ -82,16 +82,6 @@ impl Trace {
         });
     }
 
-    /// Appends another trace's events (oldest-first), subject to this
-    /// ring's own capacity — the merge step for per-partition traces.
-    /// Drop counts carry over.
-    pub fn absorb(&mut self, other: &Trace) {
-        self.dropped += other.dropped;
-        for e in &other.ring {
-            self.record(e.at, e.kind, e.unit, e.value);
-        }
-    }
-
     /// Events currently held.
     pub fn len(&self) -> usize {
         self.ring.len()

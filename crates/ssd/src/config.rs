@@ -136,12 +136,6 @@ pub struct SsdConfig {
     /// Hardware router latency per command hop (BG-2's parse + crossbar
     /// forward), replacing firmware costs on the sampling path.
     pub router_latency: Duration,
-    /// Batching window of the router crossbar's inter-channel forwards:
-    /// commands crossing channels are released at the next multiple of
-    /// this window. Doubles as the conservative-lookahead epoch of the
-    /// partitioned engine (see `beacon_platforms::PartitionedEngine`),
-    /// which may only exchange cross-channel work at these boundaries.
-    pub router_epoch: Duration,
     /// §VIII mitigation: direct I/O between flash and accelerator SRAM,
     /// bypassing the DRAM staging of retrieved feature vectors.
     pub dram_bypass: bool,
@@ -163,7 +157,6 @@ impl SsdConfig {
             dram_bandwidth: 12_800_000_000,
             pcie_bandwidth: 8_000_000_000,
             router_latency: Duration::from_ns(100),
-            router_epoch: Duration::from_ns(500),
             dram_bypass: false,
         }
     }
@@ -205,18 +198,6 @@ impl SsdConfig {
     /// Returns the config with a different core count (Fig 18c).
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        self
-    }
-
-    /// Returns the config with a different router inter-channel
-    /// batching window (the partitioned engine's lookahead epoch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` is zero.
-    pub fn with_router_epoch(mut self, epoch: Duration) -> Self {
-        assert!(!epoch.is_zero(), "router epoch must be positive");
-        self.router_epoch = epoch;
         self
     }
 

@@ -22,7 +22,6 @@
 pub mod bitmap;
 pub mod config;
 pub mod ftl;
-pub mod gnn_engine;
 pub mod host;
 pub mod modes;
 pub mod nvme;
@@ -32,7 +31,6 @@ pub mod router;
 pub use bitmap::BlockBitmap;
 pub use config::{FabricConfig, FirmwareCosts, HostCosts, SsdConfig};
 pub use ftl::{BlockId, Ftl, FtlError, FtlStats, Ppa};
-pub use gnn_engine::{BatchState, GnnEngine};
 pub use host::{HostAdapter, HostError};
 pub use modes::{DeviceMode, ModeController};
 pub use nvme::{NvmeCommand, QueuePair, TargetRecord};
