@@ -1,8 +1,8 @@
-//! Calendar microbenchmarks: the hierarchical timing wheel under the
-//! three op mixes the engine hot loop actually produces. These isolate
-//! the `schedule`/`pop`/`cancel` costs from the rest of the simulator
-//! so a calendar regression shows up here before it shows up as a
-//! diffuse fig18 wall-clock drift.
+//! Calendar microbenchmarks: the timing wheel under the three op mixes
+//! the engine hot loops actually produce. These isolate the
+//! `schedule`/`pop` costs from the rest of the simulator so a calendar
+//! regression shows up here before it shows up as a diffuse fig18 or
+//! scale-out wall-clock drift.
 //!
 //! - **schedule_heavy** — bulk insertion followed by one full drain:
 //!   the shape of engine warm-up, where a whole batch of arrivals is
@@ -10,9 +10,11 @@
 //! - **drain_heavy** — a small steady-state live set where every pop
 //!   schedules a successor (the engine's dominant regime: each event
 //!   handler schedules the command's next hop).
-//! - **cancel_heavy** — half the scheduled events are cancelled by key
-//!   before the drain, exercising the generation-tagged tombstone path
-//!   and the dead-count purge.
+//! - **many_calendars** — sixteen calendars with a few live events
+//!   each, drained round-robin up to a common horizon that advances one
+//!   lookahead window per round: the way `ArrayEngine` drives its
+//!   device lanes. Every calendar's wheel is touched every round, so
+//!   the per-calendar memory footprint shows up here.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use simkit::{Calendar, SimTime};
@@ -89,29 +91,43 @@ fn drain_heavy(c: &mut Criterion) {
     g.finish();
 }
 
-fn cancel_heavy(c: &mut Criterion) {
+/// Device lanes in the `many_calendars` mix (the largest scale-out
+/// cell).
+const LANES: usize = 16;
+/// Lookahead window between round horizons, in ns (the PCIe P2P fabric
+/// hop latency).
+const WINDOW_NS: u64 = 600;
+
+fn many_calendars(c: &mut Criterion) {
     let mut g = c.benchmark_group("calendar");
     g.throughput(Throughput::Elements(EVENTS));
-    g.bench_function("cancel_heavy", |b| {
-        let mut cal: Calendar<u64> = Calendar::new();
-        let mut keys = Vec::with_capacity(EVENTS as usize);
+    g.bench_function("many_calendars", |b| {
+        let mut cals: Vec<Calendar<u64>> = (0..LANES).map(|_| Calendar::new()).collect();
         b.iter(|| {
-            cal.reset();
-            keys.clear();
             let mut rng = Rng(0x5851_F42D_4C95_7F2D);
-            for i in 0..EVENTS {
-                keys.push(cal.schedule(SimTime::from_ns(rng.next() % 16_384), i));
+            for (l, cal) in cals.iter_mut().enumerate() {
+                cal.reset();
+                for i in 0..4u64 {
+                    cal.schedule(SimTime::from_ns(rng.next() % 2_048), l as u64 * 4 + i);
+                }
             }
-            // Cancel every other event, newest-first, so tombstones are
-            // spread across occupied buckets rather than purged in
-            // insertion order.
-            let mut cancelled = 0u64;
-            for k in keys.iter().rev().step_by(2) {
-                cancelled += u64::from(cal.cancel(*k));
-            }
-            let mut acc = cancelled;
-            while let Some((_, id)) = cal.pop() {
-                acc = acc.wrapping_add(id);
+            // Each round drains every lane strictly below the horizon,
+            // rescheduling one successor per pop a die/channel service
+            // time ahead, until the op budget is spent.
+            let mut acc = 0u64;
+            let mut ops = 0u64;
+            let mut horizon = SimTime::ZERO;
+            while ops < EVENTS {
+                horizon += simkit::Duration::from_ns(WINDOW_NS);
+                for cal in &mut cals {
+                    while cal.peek_time().is_some_and(|t| t < horizon) {
+                        let (now, id) = cal.pop().expect("peeked event");
+                        acc = acc.wrapping_add(id);
+                        let delay = 1 + rng.next() % 4_096;
+                        cal.schedule(now + simkit::Duration::from_ns(delay), id);
+                        ops += 1;
+                    }
+                }
             }
             black_box(acc)
         })
@@ -119,5 +135,5 @@ fn cancel_heavy(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, schedule_heavy, drain_heavy, cancel_heavy);
+criterion_group!(benches, schedule_heavy, drain_heavy, many_calendars);
 criterion_main!(benches);

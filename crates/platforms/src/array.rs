@@ -74,7 +74,9 @@ use simkit::{
     QueryLat, SerialResource, SimTime, Stage, Trace, NO_PATH,
 };
 
-use crate::engine::{Engine, EngineScratch, FlashServiceMemo, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
+use crate::engine::{
+    event_slot_counters, Engine, EngineScratch, FlashServiceMemo, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME,
+};
 use crate::metrics::{
     AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
     TimelineBuilder,
@@ -569,17 +571,17 @@ enum DevEvent {
 
 /// Cross-device messages. Keys are `(record index << 1) | type bit`,
 /// so spawn and feature keys never collide and the global sort is
-/// total.
-#[derive(Debug, Clone, Copy)]
+/// total. The path riders are boxed and present only while latency
+/// tracking is on, so a plain run moves and sorts small messages.
+#[derive(Debug)]
 enum AMsg {
     /// Forward a sampled child command to its owning device.
     Spawn {
         from: u32,
         to: u32,
         rec: u32,
-        /// Inherited critical-path attribution (zeroed when latency
-        /// tracking is off).
-        path: PathAttr,
+        /// Inherited critical-path attribution.
+        path: Option<Box<PathAttr>>,
     },
     /// Return retrieved feature bytes to the record's home device.
     Feature {
@@ -589,7 +591,7 @@ enum AMsg {
         bytes: u64,
         /// The retrieving command's attribution at retirement, so the
         /// fabric return extends its query's chain.
-        path: PathAttr,
+        path: Option<Box<PathAttr>>,
     },
 }
 
@@ -611,7 +613,6 @@ struct DevLane {
     chans: Vec<SerialResource>,
     dram: BandwidthResource,
     calendar: Calendar<DevEvent>,
-    cal_base: simkit::PoolStats,
     memo: FlashServiceMemo,
     outbox: MessagePool<AMsg>,
 
@@ -651,7 +652,6 @@ impl DevLane {
             chans: vec![SerialResource::new(); geo.channels],
             dram: BandwidthResource::new(ssd.dram_bandwidth),
             calendar: Calendar::new(),
-            cal_base: simkit::PoolStats::default(),
             memo: FlashServiceMemo::new(ssd.timing, ON_DIE_SAMPLE_TIME, geo.page_size),
             outbox: MessagePool::new(),
             record_hops: true,
@@ -834,25 +834,24 @@ impl DevLane {
         }
         // At retirement the record's chain competes for its query's
         // longest path, and children inherit the attribution so far.
-        let inherit = {
-            let h = self.lat(rec);
-            if h != NO_PATH {
-                let p = *self.arena.get(h);
-                self.chains.observe(ctx.qid[ri] as usize, now, &p);
-                self.arena.release(h);
-                self.lat_of[ri] = NO_PATH;
-                p
-            } else {
-                PathAttr::default()
+        let inherit = self.lat_on.then(|| {
+            let h = self.lat_of[ri];
+            if h == NO_PATH {
+                return PathAttr::default();
             }
-        };
+            let p = *self.arena.get(h);
+            self.chains.observe(ctx.qid[ri] as usize, now, &p);
+            self.arena.release(h);
+            self.lat_of[ri] = NO_PATH;
+            p
+        });
         let me = self.dev as u32;
         let cs = r.children_start;
         for c in cs..cs + r.children_len {
             let to = ctx.owner[c as usize];
             if to == me {
-                if self.lat_on {
-                    self.lat_of[c as usize] = self.arena.alloc(inherit);
+                if let Some(p) = inherit {
+                    self.lat_of[c as usize] = self.arena.alloc(p);
                 }
                 self.calendar.schedule(now, DevEvent::Arrive(c));
             } else {
@@ -863,7 +862,7 @@ impl DevLane {
                         from: me,
                         to,
                         rec: c,
-                        path: inherit,
+                        path: inherit.map(Box::new),
                     },
                 );
             }
@@ -877,7 +876,7 @@ impl DevLane {
                     to: ctx.home[ri],
                     rec,
                     bytes: r.feature_bytes as u64,
-                    path: inherit,
+                    path: inherit.map(Box::new),
                 },
             );
         }
@@ -888,7 +887,7 @@ impl DevLane {
 /// An inbound delivery queued for a device lane: `(time_ns, event,
 /// inherited path attribution)` — the path rider is `None` when
 /// latency tracking is off.
-type ADelivery = (u64, DevEvent, Option<PathAttr>);
+type ADelivery = (u64, DevEvent, Option<Box<PathAttr>>);
 
 /// State shared between the coordinator (main thread) and the device
 /// lane workers.
@@ -932,7 +931,7 @@ fn lane_round(lane: &mut DevLane, ctx: &ReplayCtx<'_>, shared: &AShared, li: usi
         // An inbound arrival materializes its inherited path in this
         // device's arena.
         if let (Some(p), DevEvent::Arrive(rec)) = (path, ev) {
-            lane.lat_of[rec as usize] = lane.arena.alloc(p);
+            lane.lat_of[rec as usize] = lane.arena.alloc(*p);
         }
         lane.calendar.schedule(SimTime::from_ns(t), ev);
     }
@@ -1039,8 +1038,7 @@ impl ACoordinator {
                     self.link_bytes[from as usize] += CMD_HOP_BYTES;
                     self.link_msgs[from as usize] += 1;
                     let arrive = shared.epochs.quantize(at, grant.end + self.hop_latency);
-                    let path = self.lat_on.then(|| {
-                        let mut p = path;
+                    let path = path.map(|mut p| {
                         p.add(Stage::Queue, grant.start.saturating_duration_since(at));
                         p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
                         p.add(
@@ -1066,11 +1064,10 @@ impl ACoordinator {
                     self.link_bytes[from as usize] += bytes;
                     self.link_msgs[from as usize] += 1;
                     let ready = grant.end + self.hop_latency;
-                    if self.lat_on {
+                    if let Some(mut p) = path {
                         // The return leg extends the retrieving chain to
                         // the home device, competing for the query's
                         // longest path.
-                        let mut p = path;
                         p.add(Stage::Queue, grant.start.saturating_duration_since(at));
                         p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
                         self.lat_chains
@@ -1298,11 +1295,7 @@ impl<'a> ArrayEngine<'a> {
             )
         });
         let mut lanes: Vec<DevLane> = (0..devs)
-            .map(|d| {
-                let mut lane = DevLane::new(d, self.ssd, hops, lat);
-                lane.cal_base = lane.calendar.pool_stats();
-                lane
-            })
+            .map(|d| DevLane::new(d, self.ssd, hops, lat))
             .collect();
 
         let threads = self.threads.min(devs);
@@ -1430,14 +1423,13 @@ impl<'a> ArrayEngine<'a> {
             }
 
             let base = cascade.recording.batch_roots[bi];
-            let root_path = coord.lat_on.then(PathAttr::default);
             for j in 0..batch.len() {
                 let rec = base + j as u32;
                 let owner = ctx.owner[rec as usize] as usize;
                 shared.mailboxes[owner].lock().expect("mailbox").push((
                     start.as_ns(),
                     DevEvent::Arrive(rec),
-                    root_path,
+                    coord.lat_on.then(Box::default),
                 ));
             }
             let mut pending_min = start.as_ns();
@@ -1563,9 +1555,10 @@ impl<'a> ArrayEngine<'a> {
                 };
             }
             let cal = lane.calendar.pool_stats();
+            let (allocated, reused) = event_slot_counters(cal, simkit::PoolStats::default());
             pools.events_processed += lane.events_processed;
-            pools.event_slots_allocated += cal.slots_allocated - lane.cal_base.slots_allocated;
-            pools.event_slots_reused += cal.slots_reused - lane.cal_base.slots_reused;
+            pools.event_slots_allocated += allocated;
+            pools.event_slots_reused += reused;
             pools.calendar_wheel_high_water =
                 pools.calendar_wheel_high_water.max(cal.wheel_high_water);
             pools.calendar_far_high_water = pools.calendar_far_high_water.max(cal.far_high_water);

@@ -362,6 +362,18 @@ impl OutcomePool {
     }
 }
 
+/// One run's cold-equivalent event-slot counters, `(allocated,
+/// reused)`: allocated is the run's peak of live events (what a fresh
+/// slab would have grown to), reused is the run's schedules served
+/// within that peak. Unlike raw slab growth they do not depend on how
+/// warm the calendar was at run start (`base`), so they are
+/// byte-identical across schedules and worker counts.
+pub(crate) fn event_slot_counters(cal: simkit::PoolStats, base: simkit::PoolStats) -> (u64, u64) {
+    let schedules =
+        (cal.slots_allocated - base.slots_allocated) + (cal.slots_reused - base.slots_reused);
+    (cal.live_high_water, schedules - cal.live_high_water)
+}
+
 /// Reusable per-worker simulation buffers: the event calendar (with its
 /// slab pool), the sample-outcome pool, and the hop-release scratch.
 ///
@@ -883,20 +895,15 @@ impl<'a> Engine<'a> {
             .collect();
 
         let cal_stats = self.calendar.pool_stats();
-        // Registry pool counters are *cold-equivalent*: allocated = the
-        // run's peak slots in use (what a fresh slab would have grown
-        // to), reused = schedules served within that peak. Unlike raw
-        // slab growth they do not depend on how warm the scratch
-        // happened to be, so they are byte-identical across schedules
-        // and worker counts. Actual warm-scratch growth stays visible
-        // through the `engine/*` profile counters below.
-        let event_schedules = (cal_stats.slots_allocated - self.cal_base.slots_allocated)
-            + (cal_stats.slots_reused - self.cal_base.slots_reused);
+        // Actual warm-scratch growth stays visible through the
+        // `engine/*` profile counters below.
+        let (event_slots_allocated, event_slots_reused) =
+            event_slot_counters(cal_stats, self.cal_base);
         let outcome_acquires = self.outcomes.allocated + self.outcomes.reused;
         let pools = PoolCounters {
             events_processed: self.events_processed,
-            event_slots_allocated: cal_stats.live_high_water,
-            event_slots_reused: event_schedules - cal_stats.live_high_water,
+            event_slots_allocated,
+            event_slots_reused,
             outcome_slots_allocated: self.outcomes.in_use_high_water,
             outcome_slots_reused: outcome_acquires - self.outcomes.in_use_high_water,
             calendar_wheel_high_water: cal_stats.wheel_high_water,

@@ -205,11 +205,12 @@ pub struct PoolCounters {
     /// (cold-equivalent free-list reuse).
     pub outcome_slots_reused: u64,
     /// High-water mark of events resident in the calendar's near-horizon
-    /// wheel during the run.
+    /// wheel during the run, including events scheduled at the current
+    /// instant.
     /// Diagnostic only — not part of the serialized metrics registry.
     pub calendar_wheel_high_water: u64,
-    /// High-water mark of events parked in the calendar's far/overflow
-    /// tier during the run.
+    /// High-water mark of events parked in the calendar's far tier
+    /// during the run.
     /// Diagnostic only — not part of the serialized metrics registry.
     pub calendar_far_high_water: u64,
 }

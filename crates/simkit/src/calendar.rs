@@ -1,21 +1,8 @@
 //! The event calendar: a time-ordered priority queue of simulation events.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
-
-/// A generation-tagged handle to a scheduled event.
-///
-/// Returned by [`Calendar::schedule`]; pass it to [`Calendar::cancel`]
-/// to remove the event before it fires. The generation tag makes stale
-/// handles harmless: once the event has been popped (or cancelled) its
-/// slot is recycled under a new generation, so an old key can never
-/// cancel the slot's next occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventKey {
-    slot: u32,
-    gen: u32,
-}
 
 /// Allocation and occupancy behaviour of the calendar (see
 /// [`Calendar::pool_stats`]).
@@ -31,42 +18,17 @@ pub struct PoolStats {
     /// Schedules served by recycling a previously freed slot — the
     /// allocations the pool avoided.
     pub slots_reused: u64,
-    /// Peak number of records resident in the near-horizon wheel
-    /// buckets at once. Resets to zero on [`Calendar::reset`].
+    /// Peak number of events resident in the near-horizon wheel
+    /// buckets at once, including events scheduled at the current
+    /// instant (they queue in the current bucket). Resets to zero on
+    /// [`Calendar::reset`].
     pub wheel_high_water: u64,
-    /// Peak number of records parked in the far/overflow tier at once.
-    /// Resets to zero on [`Calendar::reset`].
+    /// Peak number of events parked in the far tier at once. Resets to
+    /// zero on [`Calendar::reset`].
     pub far_high_water: u64,
     /// Peak number of live pending events at once (the `len()` high
-    /// water, across all tiers). Resets to zero on [`Calendar::reset`].
+    /// water, across both tiers). Resets to zero on [`Calendar::reset`].
     pub live_high_water: u64,
-}
-
-/// One slab slot: the event payload plus its current generation.
-#[derive(Debug, Clone)]
-struct Slot<E> {
-    gen: u32,
-    event: Option<E>,
-}
-
-/// A small Copy record ordered by `(at, seq)`; the payload stays in the
-/// slab so queue operations move 24 bytes, not whole events.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    gen: u32,
-}
-
-impl Entry {
-    /// The total order the calendar delivers in. `(at, seq)` is unique
-    /// (seq is monotonic), so the queue's internal layout can never
-    /// leak into simulation results.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
 }
 
 /// log2 of the wheel span: the near wheel covers one aligned window of
@@ -76,84 +38,93 @@ const WHEEL_BITS: u32 = 13;
 const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 /// u64 words in the occupancy bitmap.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// The null slab link.
+const NIL: u32 = u32::MAX;
 
-/// One near-wheel bucket: a FIFO of entries sharing a single timestamp.
-///
-/// Buckets are 1 ns wide, so every record in a bucket has the same
-/// `at` and append order *is* seq order — popping the front yields the
-/// exact `(time, seq)` minimum with no comparisons at all. `head`
-/// indexes the first unpopped record so the front pops in O(1) without
-/// shifting; the vector is cleared (capacity kept) once drained.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    head: u32,
-    v: Vec<Entry>,
+/// One slab node: an event, its timestamp, and the link to the next
+/// node of whichever list holds it — a wheel bucket, a far window, or
+/// the free list.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    at: SimTime,
+    next: u32,
+    event: Option<E>,
 }
 
-/// One far-tier window: all records whose window index exceeds the
-/// wheel's current window, appended in schedule (seq) order.
-///
-/// `min_key` caches the smallest `(at, seq)` in `v` so `peek_time` and
-/// the immediate-ring comparison stay O(1) while the wheel is empty.
-#[derive(Debug, Clone)]
+/// A singly linked FIFO of slab nodes. Empty when `head` is [`NIL`];
+/// `tail` is only meaningful while the list is non-empty.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Appends node `n` (whose `next` is already [`NIL`]) to `list`.
+#[inline]
+fn append<E>(nodes: &mut [Node<E>], list: &mut List, n: u32) {
+    if list.head == NIL {
+        list.head = n;
+    } else {
+        nodes[list.tail as usize].next = n;
+    }
+    list.tail = n;
+}
+
+/// One far-tier window: its events in schedule order, plus the
+/// earliest timestamp among them so `peek_time` stays O(1) while the
+/// wheel is empty.
+#[derive(Debug, Clone, Copy)]
 struct FarWindow {
-    min_key: (SimTime, u64),
-    v: Vec<Entry>,
+    list: List,
+    min_at: SimTime,
 }
 
 /// A time-ordered event calendar.
 ///
 /// Events scheduled for the same instant are delivered in the order they
-/// were scheduled (FIFO tie-breaking via a monotonically increasing
-/// sequence number), which keeps simulations deterministic regardless of
-/// queue internals.
+/// were scheduled (FIFO tie-breaking), which keeps simulations
+/// deterministic regardless of queue internals.
 ///
-/// # Hierarchical timing wheel
+/// # Timing wheel
 ///
-/// Pending events live in one of three tiers, all ordered by the same
-/// `(time, seq)` key:
+/// Every pending event is one node in a slab; the queue structure is
+/// nothing but `u32` links between nodes, in two tiers:
 ///
-/// 1. an **immediate ring** for events scheduled at exactly the current
-///    watermark (zero-delay pipeline handoffs) — plain FIFO;
-/// 2. a **near wheel** of [`WHEEL_SLOTS`] one-nanosecond buckets
-///    covering the aligned window containing the watermark. The bucket
-///    index is `at % WHEEL_SLOTS`; a bitmap tracks occupancy so the
-///    next bucket is found with a word scan, and within a bucket FIFO
-///    order is `(time, seq)` order because 1 ns buckets make all
-///    residents share a timestamp;
-/// 3. a **far tier** (`BTreeMap` keyed by window index) for everything
-///    beyond the current window. When the wheel and ring drain, the
-///    earliest far window is distributed into the wheel in one pass.
+/// 1. a **near wheel** of [`WHEEL_SLOTS`] one-nanosecond buckets
+///    covering the aligned window that contains the watermark. Each
+///    bucket is a `(head, tail)` pair of links (64 KiB for the whole
+///    wheel) and a bitmap marks the occupied ones, so the next bucket
+///    is found with a word scan;
+/// 2. a **far tier** (`BTreeMap` keyed by window index) holding one
+///    linked list per later window. When the wheel drains, the
+///    earliest far window moves into it by relinking its nodes into
+///    their buckets — nothing is copied.
 ///
-/// Schedule and pop are O(1) amortized: each record is touched once on
-/// insert, at most once on window distribution, and once on pop — there
-/// is no per-operation sift like a heap's.
+/// Schedule and pop are O(1) amortized: each event is linked once on
+/// insert, at most once more when its window moves in, and unlinked
+/// once on pop. Freed nodes go on an intrusive free list, so a
+/// pipeline scheduling about as many events as it pops stops growing
+/// the slab and performs no allocator traffic ([`pool_stats`]
+/// quantifies this).
 ///
-/// ## Why delivery order is exactly `(time, seq)`
-///
-/// Within one wheel window, the bucket scan visits times in ascending
-/// order and each bucket is FIFO over a single timestamp. The only
-/// subtlety is records that *descend* from the far tier: a window is
-/// distributed at the instant it becomes current — inside `pop`, before
-/// the watermark (and therefore any future `schedule`) can enter it —
-/// so every record already in the far window carries a lower seq than
-/// any later direct insert into the same bucket, and appending the far
-/// records first preserves FIFO exactly.
-///
-/// # Event pool
-///
-/// Payloads live in a slab with a free list; the wheel and the
-/// immediate ring order small `Copy` records pointing into it. In steady
-/// state — a pipeline scheduling roughly as many events as it pops — the
-/// slab stops growing entirely and every schedule recycles a freed slot,
-/// so the inner loop performs no allocator traffic ([`pool_stats`]
-/// quantifies this). [`schedule`] returns a generation-tagged
-/// [`EventKey`] so callers can [`cancel`] in O(1): the slot's generation
-/// is bumped and the stale queue record is skipped when it surfaces.
-///
-/// [`schedule`]: Calendar::schedule
-/// [`cancel`]: Calendar::cancel
 /// [`pool_stats`]: Calendar::pool_stats
+///
+/// ## Why delivery order is exactly `(time, FIFO)`
+///
+/// Buckets are 1 ns wide, so every node in a bucket has the same
+/// timestamp and a bucket is a FIFO over one instant: the bitmap scan
+/// visits instants in ascending order, and within a bucket append
+/// order is schedule order. That holds for an event scheduled at the
+/// current instant too — it appends behind the same-instant events
+/// already queued. A far window moves into the wheel inside `pop`,
+/// before the watermark (and therefore any later `schedule`) can enter
+/// it, and its list is in schedule order, so its nodes land in each
+/// bucket ahead of every later direct insert.
 ///
 /// # Examples
 ///
@@ -170,37 +141,22 @@ struct FarWindow {
 #[derive(Debug, Clone)]
 pub struct Calendar<E> {
     /// Near wheel: `WHEEL_SLOTS` one-ns buckets for the current window.
-    buckets: Vec<Bucket>,
-    /// Bit i set ⇔ bucket i holds at least one record.
+    buckets: Box<[List]>,
+    /// Bit i set ⇔ bucket i holds at least one node.
     occupied: [u64; WHEEL_WORDS],
-    /// First ns of the window the wheel currently covers
-    /// (`window_index * WHEEL_SLOTS`).
+    /// First ns of the window the wheel covers. Invariant: the window
+    /// of the watermark (it moves only when `pop` advances to a far
+    /// window and then pops from it).
     wheel_base: u64,
-    /// Absolute ns the bucket scan resumes from. Invariant: no occupied
-    /// bucket lies before it (inserts clamp it back down).
-    cursor: u64,
-    /// Records resident in wheel buckets (including not-yet-purged
-    /// cancelled ones).
+    /// Nodes resident in wheel buckets.
     wheel_len: usize,
-    /// Far tier: window index → records for that window.
+    /// Far tier: window index → that window's nodes.
     far: BTreeMap<u64, FarWindow>,
-    /// Records resident in the far tier (including cancelled ones).
+    /// Nodes resident in the far tier.
     far_len: usize,
-    /// Set when a cancel may have invalidated a cached far-window
-    /// `min_key`; verified lazily once the wheel drains.
-    far_dirty: bool,
-    /// Cancelled records still resident in a queue tier. While zero —
-    /// the engine hot loop never cancels — every front is trivially
-    /// live and `purge_front` short-circuits entirely.
-    dead: usize,
-    /// Events scheduled at exactly the watermark instant, FIFO. All
-    /// live entries here share `at == watermark` (the watermark cannot
-    /// pass a pending event).
-    immediate: VecDeque<Entry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    live: usize,
-    seq: u64,
+    nodes: Vec<Node<E>>,
+    /// Head of the intrusive free list.
+    free: u32,
     /// Latest time popped so far; used to detect causality violations.
     watermark: SimTime,
     stats: PoolStats,
@@ -210,222 +166,119 @@ impl<E> Calendar<E> {
     /// Creates an empty calendar.
     pub fn new() -> Self {
         Calendar {
-            buckets: vec![Bucket::default(); WHEEL_SLOTS],
+            buckets: vec![EMPTY; WHEEL_SLOTS].into_boxed_slice(),
             occupied: [0; WHEEL_WORDS],
             wheel_base: 0,
-            cursor: 0,
             wheel_len: 0,
             far: BTreeMap::new(),
             far_len: 0,
-            far_dirty: false,
-            dead: 0,
-            immediate: VecDeque::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            seq: 0,
+            nodes: Vec::new(),
+            free: NIL,
             watermark: SimTime::ZERO,
             stats: PoolStats::default(),
         }
-    }
-
-    /// Creates an empty calendar with pre-allocated slab capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut cal = Self::new();
-        cal.immediate = VecDeque::with_capacity(cap.min(1024));
-        cal.slots = Vec::with_capacity(cap);
-        cal.free = Vec::with_capacity(cap.min(1024));
-        cal
     }
 
     /// Reserves capacity for at least `additional` more events, so a
     /// burst of scheduling (e.g. a mini-batch fan-out) does not pay
     /// repeated reallocation.
     pub fn reserve(&mut self, additional: usize) {
-        let extra = additional.saturating_sub(self.free.len());
-        self.slots.reserve(extra);
+        let free = self.nodes.len() - self.len();
+        self.nodes.reserve(additional.saturating_sub(free));
     }
 
-    /// Empties the calendar and rewinds the causality watermark and the
-    /// tie-breaking sequence to zero, **keeping** the slab, free list,
-    /// bucket and ring capacity. A reset calendar behaves exactly like a
-    /// fresh one (identical pop order for identical schedules), which is
-    /// what lets one calendar be reused across independent simulation
-    /// runs without re-growing its pool each time. Slot counters in
-    /// [`pool_stats`](Calendar::pool_stats) persist across resets; the
-    /// high-water marks rewind to zero.
+    /// Empties the calendar and rewinds the causality watermark to
+    /// zero, **keeping** the slab and its capacity. A reset calendar
+    /// behaves exactly like a fresh one (identical pop order for
+    /// identical schedules), which is what lets one calendar be reused
+    /// across independent simulation runs without re-growing its pool
+    /// each time. Slot counters in [`pool_stats`](Calendar::pool_stats)
+    /// persist across resets; the high-water marks rewind to zero.
     pub fn reset(&mut self) {
         if self.wheel_len > 0 {
-            for b in &mut self.buckets {
-                b.head = 0;
-                b.v.clear();
-            }
+            self.buckets.fill(EMPTY);
             self.occupied = [0; WHEEL_WORDS];
             self.wheel_len = 0;
         }
         self.wheel_base = 0;
-        self.cursor = 0;
         self.far.clear();
         self.far_len = 0;
-        self.far_dirty = false;
-        self.dead = 0;
-        self.immediate.clear();
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.event = None;
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(i as u32);
+        self.free = NIL;
+        for (i, node) in self.nodes.iter_mut().enumerate().rev() {
+            node.event = None;
+            node.next = self.free;
+            self.free = i as u32;
         }
-        self.live = 0;
-        self.seq = 0;
         self.watermark = SimTime::ZERO;
         self.stats.wheel_high_water = 0;
         self.stats.far_high_water = 0;
         self.stats.live_high_water = 0;
     }
 
-    /// Schedules `event` to fire at absolute time `at`, returning a key
-    /// that can [`cancel`](Calendar::cancel) it.
+    /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the last popped time: scheduling into
     /// the past is a causality bug in the model.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventKey {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.watermark,
             "event scheduled in the past: at={at}, watermark={}",
             self.watermark
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let (slot, gen) = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                debug_assert!(s.event.is_none());
-                s.event = Some(event);
-                self.stats.slots_reused += 1;
-                (i, s.gen)
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("calendar slab overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    event: Some(event),
-                });
-                self.stats.slots_allocated += 1;
-                (i, 0)
-            }
-        };
-        self.live += 1;
-        if self.live as u64 > self.stats.live_high_water {
-            self.stats.live_high_water = self.live as u64;
-        }
-        let entry = Entry { at, seq, slot, gen };
-        if at == self.watermark {
-            self.immediate.push_back(entry);
-        } else {
-            self.queue_insert(entry);
-        }
-        EventKey { slot, gen }
-    }
-
-    /// Routes a future-time entry to the near wheel or the far tier.
-    #[inline]
-    fn queue_insert(&mut self, entry: Entry) {
-        if self.wheel_len == 0 {
-            // An empty wheel may be left anchored ahead of the watermark
-            // (draining far windows whose events were all cancelled
-            // advances the base without a pop). Re-anchor to the
-            // watermark's window so routing below stays ordered: every
-            // pending far window is strictly beyond the watermark's
-            // window, so it remains strictly beyond the re-anchored
-            // wheel too.
-            let anchor = self.watermark.as_ns() & !(WHEEL_SLOTS as u64 - 1);
-            if self.wheel_base != anchor {
-                self.wheel_base = anchor;
-                self.cursor = anchor;
-            }
-        }
-        let ns = entry.at.as_ns();
+        let n = self.alloc(at, event);
+        let ns = at.as_ns();
         if ns >> WHEEL_BITS == self.wheel_base >> WHEEL_BITS {
-            // Current window: straight into its 1 ns bucket.
+            // Current window: straight onto its 1 ns bucket's tail.
             let idx = (ns - self.wheel_base) as usize;
-            let b = &mut self.buckets[idx];
-            b.v.push(entry);
+            append(&mut self.nodes, &mut self.buckets[idx], n);
             self.occupied[idx >> 6] |= 1u64 << (idx & 63);
             self.wheel_len += 1;
-            if self.wheel_len as u64 > self.stats.wheel_high_water {
-                self.stats.wheel_high_water = self.wheel_len as u64;
-            }
-            // The scan may already have passed this bucket.
-            if ns < self.cursor {
-                self.cursor = ns;
-            }
+            self.stats.wheel_high_water = self.stats.wheel_high_water.max(self.wheel_len as u64);
         } else {
-            // Beyond the window: park in the far tier.
-            let w = ns >> WHEEL_BITS;
-            debug_assert!(w > self.wheel_base >> WHEEL_BITS);
-            self.far
-                .entry(w)
-                .and_modify(|win| {
-                    // seq is monotonic, so only a strictly earlier time
-                    // can displace the cached minimum.
-                    if entry.at < win.min_key.0 {
-                        win.min_key = entry.key();
-                    }
-                    win.v.push(entry);
-                })
-                .or_insert_with(|| FarWindow {
-                    min_key: entry.key(),
-                    v: vec![entry],
-                });
+            // Beyond the window (never before it: `at` is at or after
+            // the watermark, whose window the wheel covers).
+            let win = self.far.entry(ns >> WHEEL_BITS).or_insert(FarWindow {
+                list: EMPTY,
+                min_at: at,
+            });
+            win.min_at = win.min_at.min(at);
+            append(&mut self.nodes, &mut win.list, n);
             self.far_len += 1;
-            if self.far_len as u64 > self.stats.far_high_water {
-                self.stats.far_high_water = self.far_len as u64;
-            }
+            self.stats.far_high_water = self.stats.far_high_water.max(self.far_len as u64);
         }
+        self.stats.live_high_water = self.stats.live_high_water.max(self.len() as u64);
     }
 
-    /// Cancels a pending event in O(1) (amortized): the slot is freed
-    /// immediately and the stale queue record is discarded when it
-    /// reaches the front. Returns `true` if the key was live, `false`
-    /// if the event already fired, was already cancelled, or the key is
-    /// from a previous occupancy of its slot.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(slot) = self.slots.get_mut(key.slot as usize) else {
-            return false;
+    /// Takes a node off the free list (or grows the slab) and fills it.
+    #[inline]
+    fn alloc(&mut self, at: SimTime, event: E) -> u32 {
+        let node = Node {
+            at,
+            next: NIL,
+            event: Some(event),
         };
-        if slot.gen != key.gen || slot.event.is_none() {
-            return false;
+        if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "calendar slab overflow");
+            self.nodes.push(node);
+            self.stats.slots_allocated += 1;
+            return (self.nodes.len() - 1) as u32;
         }
-        slot.event = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(key.slot);
-        self.live -= 1;
-        self.dead += 1;
-        // The record may sit in a far window whose cached min_key now
-        // points at a dead entry; re-verify once the wheel drains.
-        self.far_dirty = true;
-        self.purge_front();
-        true
+        let n = self.free;
+        self.free = self.nodes[n as usize].next;
+        self.nodes[n as usize] = node;
+        self.stats.slots_reused += 1;
+        n
     }
 
-    /// True when `entry` still refers to a live event.
+    /// Index of the first occupied bucket at or after bucket `from`.
+    /// Caller guarantees one exists (every wheel node is at or after
+    /// the watermark).
     #[inline]
-    fn entry_live(&self, entry: &Entry) -> bool {
-        let slot = &self.slots[entry.slot as usize];
-        slot.gen == entry.gen && slot.event.is_some()
-    }
-
-    /// Index of the first occupied bucket at or after absolute ns
-    /// `from`. Caller guarantees one exists (`wheel_len > 0` plus the
-    /// cursor invariant).
-    #[inline]
-    fn scan_occupied(&self, from: u64) -> usize {
-        let start = (from - self.wheel_base) as usize;
-        let mut word = start >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (start & 63));
+    fn scan_occupied(&self, from: usize) -> usize {
+        let mut word = from >> 6;
+        let mut bits = self.occupied[word] & (!0u64 << (from & 63));
         loop {
             if bits != 0 {
                 return (word << 6) + bits.trailing_zeros() as usize;
@@ -435,234 +288,76 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// The front record of the earliest occupied wheel bucket.
-    #[inline]
-    fn wheel_head(&self) -> Option<&Entry> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let idx = self.scan_occupied(self.cursor);
-        let b = &self.buckets[idx];
-        Some(&b.v[b.head as usize])
-    }
-
-    /// Pops the front record of wheel bucket `idx` (the caller has
-    /// already scanned it up and advanced the cursor to it).
-    #[inline]
-    fn bucket_pop(&mut self, idx: usize) -> Entry {
-        let b = &mut self.buckets[idx];
-        let e = b.v[b.head as usize];
-        b.head += 1;
-        if b.head as usize == b.v.len() {
-            b.head = 0;
-            b.v.clear();
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.wheel_len -= 1;
-        e
-    }
-
-    /// Advances the wheel to the earliest far window and distributes its
-    /// records into buckets. Called only when the wheel is empty; dead
-    /// (cancelled) records are dropped during the pass. Returns `false`
-    /// if the far tier is exhausted.
+    /// Moves the earliest far window into the (empty) wheel by
+    /// relinking its nodes into their buckets, in schedule order.
+    /// Returns `false` if the far tier is exhausted.
     fn advance_to_far(&mut self) -> bool {
-        let Some((&w, _)) = self.far.iter().next() else {
+        let Some((w, win)) = self.far.pop_first() else {
             return false;
         };
-        let win = self.far.remove(&w).expect("window just observed");
-        self.far_len -= win.v.len();
         self.wheel_base = w << WHEEL_BITS;
-        self.cursor = self.wheel_base;
-        for e in win.v {
-            if !self.entry_live(&e) {
-                self.dead -= 1;
-                continue;
-            }
-            let idx = (e.at.as_ns() - self.wheel_base) as usize;
-            let b = &mut self.buckets[idx];
-            b.v.push(e);
+        let mut n = win.list.head;
+        while n != NIL {
+            let node = &mut self.nodes[n as usize];
+            let next = std::mem::replace(&mut node.next, NIL);
+            let idx = (node.at.as_ns() - self.wheel_base) as usize;
+            append(&mut self.nodes, &mut self.buckets[idx], n);
             self.occupied[idx >> 6] |= 1u64 << (idx & 63);
             self.wheel_len += 1;
+            n = next;
         }
-        if self.wheel_len as u64 > self.stats.wheel_high_water {
-            self.stats.wheel_high_water = self.wheel_len as u64;
-        }
+        self.far_len -= self.wheel_len;
+        self.stats.wheel_high_water = self.stats.wheel_high_water.max(self.wheel_len as u64);
         true
-    }
-
-    /// Drops cancelled records from the front of the ring and the wheel,
-    /// and re-verifies the earliest far window's cached minimum if a
-    /// cancel may have invalidated it — so `peek_time` and
-    /// `immediate_is_next` always see live, exact heads without
-    /// mutating.
-    fn purge_front(&mut self) {
-        if self.dead == 0 && !self.far_dirty {
-            return;
-        }
-        while let Some(front) = self.immediate.front() {
-            if self.entry_live(front) {
-                break;
-            }
-            self.immediate.pop_front();
-            self.dead -= 1;
-        }
-        while self.wheel_len > 0 {
-            let idx = self.scan_occupied(self.cursor);
-            let b = &self.buckets[idx];
-            let e = b.v[b.head as usize];
-            if self.entry_live(&e) {
-                break;
-            }
-            let b = &mut self.buckets[idx];
-            b.head += 1;
-            if b.head as usize == b.v.len() {
-                b.head = 0;
-                b.v.clear();
-                self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-            }
-            self.wheel_len -= 1;
-            self.dead -= 1;
-            self.cursor = self.wheel_base + idx as u64;
-        }
-        // Far min_keys are only consulted while the wheel is empty, so
-        // that is the only state needing verification (the flag is set
-        // by cancels, which the engine hot loop never issues).
-        while self.wheel_len == 0 && self.far_dirty {
-            let Some((&w, _)) = self.far.iter().next() else {
-                self.far_dirty = false;
-                break;
-            };
-            let mut win = self.far.remove(&w).expect("window just observed");
-            self.far_len -= win.v.len();
-            let before = win.v.len();
-            let slots = &self.slots;
-            win.v.retain(|e| {
-                slots[e.slot as usize].gen == e.gen && slots[e.slot as usize].event.is_some()
-            });
-            self.dead -= before - win.v.len();
-            if win.v.is_empty() {
-                continue; // whole window dead: verify the next one
-            }
-            let mut mk = win.v[0].key();
-            for e in &win.v[1..] {
-                if e.key() < mk {
-                    mk = e.key();
-                }
-            }
-            win.min_key = mk;
-            self.far_len += win.v.len();
-            self.far.insert(w, win);
-            self.far_dirty = false;
-        }
-    }
-
-    /// The `(time, seq)` key of the earliest non-immediate record. All
-    /// wheel times precede all far times (the far tier only holds
-    /// windows beyond the wheel's), so the wheel head wins outright
-    /// whenever the wheel is occupied.
-    #[inline]
-    fn queue_head_key(&self) -> Option<(SimTime, u64)> {
-        if let Some(h) = self.wheel_head() {
-            return Some(h.key());
-        }
-        self.far.values().next().map(|w| w.min_key)
     }
 
     /// Removes and returns the earliest event, advancing the causality
     /// watermark to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = if self.wheel_len > 0 {
-            // One bitmap scan serves both the ordering check against
-            // the immediate ring and the pop itself; advancing the
-            // cursor is safe either way (no occupied bucket precedes
-            // `idx`).
-            let idx = self.scan_occupied(self.cursor);
-            self.cursor = self.wheel_base + idx as u64;
-            let b = &self.buckets[idx];
-            let head_key = b.v[b.head as usize].key();
-            match self.immediate.front() {
-                Some(f) if f.key() < head_key => {
-                    self.immediate.pop_front().expect("front just observed")
-                }
-                _ => self.bucket_pop(idx),
-            }
-        } else if !self.immediate.is_empty() {
-            // Immediate entries sit at the watermark; far windows lie
-            // strictly beyond the wheel's window, so the ring always
-            // wins while the wheel is empty.
-            self.immediate.pop_front().expect("nonempty ring")
+        let from = if self.wheel_len > 0 {
+            (self.watermark.as_ns() - self.wheel_base) as usize
+        } else if self.advance_to_far() {
+            0
         } else {
-            loop {
-                if !self.advance_to_far() {
-                    // Distributing all-dead far windows above may have
-                    // advanced the (empty) wheel past the watermark;
-                    // re-anchor it so later schedules route against the
-                    // watermark's own window again.
-                    self.wheel_base = self.watermark.as_ns() & !(WHEEL_SLOTS as u64 - 1);
-                    self.cursor = self.wheel_base;
-                    return None;
-                }
-                // A freshly distributed window can be empty if every
-                // record in it was cancelled.
-                if self.wheel_len > 0 {
-                    let idx = self.scan_occupied(self.cursor);
-                    self.cursor = self.wheel_base + idx as u64;
-                    break self.bucket_pop(idx);
-                }
-            }
+            return None;
         };
-        let slot = &mut self.slots[entry.slot as usize];
-        debug_assert!(slot.gen == entry.gen && slot.event.is_some());
-        let event = slot.event.take().expect("live entry has an event");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        self.watermark = entry.at;
-        self.purge_front();
-        Some((entry.at, event))
-    }
-
-    /// Pops every event with timestamp `<= until` into `out` (appending,
-    /// in delivery order), advancing the watermark as [`Calendar::pop`]
-    /// would. Returns the number of events moved.
-    ///
-    /// This is the engine inner loop's batch fast path: draining one
-    /// instant's events in a block lets the caller iterate a flat buffer
-    /// while newly scheduled same-instant events (which always carry
-    /// higher sequence numbers) land in the next batch — the delivery
-    /// order is identical to repeated `pop` calls.
-    pub fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let mut n = 0;
-        while self.peek_time().is_some_and(|t| t <= until) {
-            // The unwrap cannot fail: peek_time just saw a live event.
-            out.push(self.pop().expect("event present"));
-            n += 1;
+        let idx = self.scan_occupied(from);
+        let bucket = &mut self.buckets[idx];
+        let n = bucket.head;
+        let node = &mut self.nodes[n as usize];
+        bucket.head = node.next;
+        if bucket.head == NIL {
+            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
         }
-        n
+        let event = node.event.take().expect("queued node holds an event");
+        let at = node.at;
+        node.next = self.free;
+        self.free = n;
+        self.wheel_len -= 1;
+        self.watermark = at;
+        Some((at, event))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // purge_front maintains the invariant that the ring and wheel
-        // heads are live and the consulted far min is exact, so peeking
-        // needs no skipping.
-        let queued = self.queue_head_key().map(|(t, _)| t);
-        match (self.immediate.front(), queued) {
-            (Some(f), Some(q)) => Some(f.at.min(q)),
-            (Some(f), None) => Some(f.at),
-            (None, q) => q,
+        if self.wheel_len > 0 {
+            let idx = self.scan_occupied((self.watermark.as_ns() - self.wheel_base) as usize);
+            Some(SimTime::from_ns(self.wheel_base + idx as u64))
+        } else {
+            // Far windows lie strictly beyond the wheel's, so the first
+            // one holds the minimum.
+            self.far.first_key_value().map(|(_, w)| w.min_at)
         }
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.wheel_len + self.far_len
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// The latest time returned by [`Calendar::pop`] so far.
@@ -673,7 +368,7 @@ impl<E> Calendar<E> {
     /// Cumulative event-pool behaviour plus per-run occupancy marks: how
     /// many slab slots were ever allocated versus how many schedules
     /// were served by recycling, and the high-water occupancy of each
-    /// queue tier. A steady-state pipeline should show `slots_allocated`
+    /// tier. A steady-state pipeline should show `slots_allocated`
     /// plateau at its peak concurrency while `slots_reused` keeps
     /// growing.
     pub fn pool_stats(&self) -> PoolStats {
@@ -719,12 +414,12 @@ mod tests {
     fn immediate_fast_path_preserves_fifo_with_wheel_ties() {
         let mut cal = Calendar::new();
         // Two wheel events at t=10, scheduled before the watermark gets
-        // there (seq 0 and 1).
+        // there.
         cal.schedule(SimTime::from_ns(10), "wheel-a");
         cal.schedule(SimTime::from_ns(10), "wheel-b");
         assert_eq!(cal.pop().unwrap().1, "wheel-a"); // watermark now 10
-                                                     // An immediate event at the watermark (seq 2) must NOT overtake
-                                                     // the equal-time wheel event with the lower sequence number.
+                                                     // An event at the watermark must NOT overtake the equal-time
+                                                     // event scheduled before it.
         cal.schedule(SimTime::from_ns(10), "imm-c");
         cal.schedule(SimTime::from_ns(11), "late");
         cal.schedule(SimTime::from_ns(10), "imm-d");
@@ -736,9 +431,35 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_schedule_queues_behind_pending_ties() {
+        // Inside the first window.
+        let mut cal = Calendar::new();
+        for e in ["a", "b", "c"] {
+            cal.schedule(SimTime::from_ns(40), e);
+        }
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(40), "a")));
+        cal.schedule(SimTime::from_ns(40), "d");
+        let rest: Vec<_> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec!["b", "c", "d"]);
+
+        // Right after a far window moved into the wheel: its ties were
+        // relinked into the bucket, and the new event queues behind them.
+        let t = SimTime::from_ns(3 * WHEEL_SLOTS as u64 + 11);
+        for e in ["far-a", "far-b", "far-c"] {
+            cal.schedule(t, e);
+        }
+        assert_eq!(cal.pop(), Some((t, "far-a")));
+        cal.schedule(t, "now-d");
+        cal.schedule(t + Duration::from_ns(1), "next");
+        cal.schedule(t, "now-e");
+        let rest: Vec<_> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec!["far-b", "far-c", "now-d", "now-e", "next"]);
+    }
+
+    #[test]
     fn immediate_events_at_time_zero() {
-        // Before any pop the watermark is zero, so t=0 events take the
-        // fast path straight away — and still interleave FIFO.
+        // Before any pop the watermark is zero, so t=0 events queue at
+        // the current instant straight away — and still interleave FIFO.
         let mut cal = Calendar::new();
         cal.schedule(SimTime::ZERO, 0);
         cal.schedule(SimTime::from_ns(5), 2);
@@ -774,41 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_batches_one_instant_fifo() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ns(10), 'a');
-        cal.schedule(SimTime::from_ns(10), 'b');
-        cal.schedule(SimTime::from_ns(20), 'c');
-        let mut buf = Vec::new();
-        let n = cal.drain_until(SimTime::from_ns(10), &mut buf);
-        assert_eq!(n, 2);
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_ns(10), 'a'), (SimTime::from_ns(10), 'b')]
-        );
-        // The watermark advanced with the drained events...
-        assert_eq!(cal.now(), SimTime::from_ns(10));
-        // ...and same-instant events scheduled afterwards still deliver
-        // after the batch (higher seq), before later times.
-        cal.schedule(SimTime::from_ns(10), 'd');
-        buf.clear();
-        assert_eq!(cal.drain_until(SimTime::from_ns(30), &mut buf), 2);
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_ns(10), 'd'), (SimTime::from_ns(20), 'c')]
-        );
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn drain_until_advances_watermark_monotonically() {
+    fn pop_advances_watermark_monotonically() {
         let mut cal = Calendar::new();
         for t in [5u64, 1, 9, 1, 5] {
             cal.schedule(SimTime::from_ns(t), t);
         }
-        let mut buf = Vec::new();
-        cal.drain_until(SimTime::from_ns(5), &mut buf);
-        let times: Vec<u64> = buf.iter().map(|&(t, _)| t.as_ns()).collect();
+        let mut times = Vec::new();
+        while cal.peek_time().is_some_and(|t| t <= SimTime::from_ns(5)) {
+            times.push(cal.pop().unwrap().0.as_ns());
+        }
         assert_eq!(times, vec![1, 1, 5, 5]);
         assert_eq!(cal.now(), SimTime::from_ns(5));
         assert_eq!(cal.len(), 1);
@@ -816,82 +511,34 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cal.schedule(SimTime::from_ns(3), 3);
         }));
-        assert!(r.is_err(), "pre-watermark schedule must panic after drain");
+        assert!(r.is_err(), "pre-watermark schedule must panic after pops");
     }
 
     #[test]
-    fn drain_until_on_empty_is_noop() {
-        let mut cal: Calendar<()> = Calendar::with_capacity(16);
-        let mut buf = Vec::new();
-        assert_eq!(cal.drain_until(SimTime::from_ns(100), &mut buf), 0);
-        assert!(buf.is_empty());
+    fn pop_on_empty_is_noop() {
+        let mut cal: Calendar<()> = Calendar::new();
         cal.reserve(32);
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_event_everywhere() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_ns(10), 'a');
-        let b = cal.schedule(SimTime::from_ns(10), 'b');
-        cal.schedule(SimTime::from_ns(20), 'c');
-        assert!(cal.cancel(a));
-        assert_eq!(cal.len(), 2);
-        // Cancelling twice (or after the fact) is a no-op.
-        assert!(!cal.cancel(a));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(10), 'b')));
-        assert!(!cal.cancel(b), "popped event is no longer cancellable");
-        // Immediate-ring events cancel too.
-        let d = cal.schedule(SimTime::from_ns(10), 'd');
-        assert!(cal.cancel(d));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(20), 'c')));
+        assert_eq!(cal.peek_time(), None);
         assert_eq!(cal.pop(), None);
+        assert_eq!(cal.now(), SimTime::ZERO);
         assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancelled_head_keeps_peek_accurate() {
-        let mut cal = Calendar::new();
-        let early = cal.schedule(SimTime::from_ns(5), 'x');
-        cal.schedule(SimTime::from_ns(9), 'y');
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(5)));
-        assert!(cal.cancel(early));
-        // The cancelled head must not leak into peek_time or drain.
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(9)));
-        let mut buf = Vec::new();
-        assert_eq!(cal.drain_until(SimTime::from_ns(9), &mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_ns(9), 'y')]);
-    }
-
-    #[test]
-    fn cancelled_far_min_keeps_peek_accurate() {
-        // The far tier caches each window's min key; cancelling that
-        // exact event must not leak the stale minimum into peek_time.
-        let span = WHEEL_SLOTS as u64;
-        let mut cal = Calendar::new();
-        let early = cal.schedule(SimTime::from_ns(3 * span + 7), 'x');
-        cal.schedule(SimTime::from_ns(3 * span + 900), 'y');
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(3 * span + 7)));
-        assert!(cal.cancel(early));
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(3 * span + 900)));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(3 * span + 900), 'y')));
-        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.pool_stats(), PoolStats::default());
     }
 
     #[test]
     fn far_windows_deliver_in_time_seq_order() {
         // Spread events across several wheel windows, with ties inside
-        // a distant window, and interleave a post-distribution insert.
+        // a distant window, and interleave a post-relink insert.
         let span = WHEEL_SLOTS as u64;
         let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ns(2 * span + 5), "far-a"); // seq 0
-        cal.schedule(SimTime::from_ns(5), "near"); // seq 1
-        cal.schedule(SimTime::from_ns(2 * span + 5), "far-b"); // seq 2
-        cal.schedule(SimTime::from_ns(7 * span + 1), "farther"); // seq 3
+        cal.schedule(SimTime::from_ns(2 * span + 5), "far-a");
+        cal.schedule(SimTime::from_ns(5), "near");
+        cal.schedule(SimTime::from_ns(2 * span + 5), "far-b");
+        cal.schedule(SimTime::from_ns(7 * span + 1), "farther");
         assert_eq!(cal.pop().unwrap().1, "near");
         assert_eq!(cal.pop().unwrap().1, "far-a");
         // The wheel now covers window 2: same-bucket inserts append
-        // after the descended far records (higher seq).
+        // after the relinked far nodes.
         cal.schedule(SimTime::from_ns(2 * span + 5), "late-tie");
         assert_eq!(cal.pop().unwrap().1, "far-b");
         assert_eq!(cal.pop().unwrap().1, "late-tie");
@@ -900,15 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn stale_keys_never_touch_reused_slots() {
+    fn empty_pop_after_far_windows_keeps_wheel_anchored() {
+        // Draining every far window and popping past the end must leave
+        // the wheel on the watermark's window, so later schedules into
+        // that window and into a later one still deliver by time.
+        let span = WHEEL_SLOTS as u64;
         let mut cal = Calendar::new();
-        let old = cal.schedule(SimTime::from_ns(1), 'a');
-        cal.pop();
-        // The slot is recycled for a new event under a new generation.
-        let fresh = cal.schedule(SimTime::from_ns(2), 'b');
-        assert_eq!(old.slot, fresh.slot, "slot should be recycled");
-        assert!(!cal.cancel(old), "stale key must be inert");
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(2), 'b')));
+        cal.schedule(SimTime::from_ns(5 * span + 7), 1u32);
+        cal.schedule(SimTime::from_ns(9 * span + 3), 2);
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(5 * span + 7), 1)));
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(9 * span + 3), 2)));
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.peek_time(), None);
+        cal.schedule(SimTime::from_ns(11 * span + 1), 4);
+        cal.schedule(SimTime::from_ns(9 * span + 8), 3);
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(9 * span + 8)));
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(9 * span + 8), 3)));
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(11 * span + 1), 4)));
+        assert_eq!(cal.pop(), None);
     }
 
     #[test]
@@ -943,6 +599,11 @@ mod tests {
         assert_eq!(s.wheel_high_water, 2);
         assert_eq!(s.far_high_water, 1);
         assert_eq!(s.live_high_water, 3);
+        // Same-instant events queue in the wheel and count there.
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(1), 'a')));
+        cal.schedule(SimTime::from_ns(1), 'd');
+        cal.schedule(SimTime::from_ns(1), 'e');
+        assert_eq!(cal.pool_stats().wheel_high_water, 3);
         while cal.pop().is_some() {}
         // Marks are per-run: reset rewinds them but not the slot totals.
         cal.reset();
@@ -950,7 +611,7 @@ mod tests {
         assert_eq!(s.wheel_high_water, 0);
         assert_eq!(s.far_high_water, 0);
         assert_eq!(s.live_high_water, 0);
-        assert_eq!(s.slots_allocated, 3);
+        assert_eq!(s.slots_allocated, 4);
     }
 
     #[test]
@@ -976,28 +637,6 @@ mod tests {
         // The second pass allocated nothing new.
         assert_eq!(reused.pool_stats().slots_allocated, 4);
         assert!(reused.pool_stats().slots_reused >= 4);
-    }
-
-    #[test]
-    fn empty_pop_after_cancelled_far_windows_reanchors_wheel() {
-        // Cancelling every far event and then popping to exhaustion
-        // used to leave the (empty) wheel anchored in a future window:
-        // a later schedule into an earlier window would then misroute
-        // and deliver out of order.
-        let span = WHEEL_SLOTS as u64;
-        let mut cal = Calendar::new();
-        let k1 = cal.schedule(SimTime::from_ns(5 * span + 7), 1u32);
-        let k2 = cal.schedule(SimTime::from_ns(9 * span + 3), 2);
-        assert!(cal.cancel(k1));
-        assert!(cal.cancel(k2));
-        assert_eq!(cal.pop(), None);
-        // Earlier window first, then the old (stale-anchor) window: the
-        // pop order must follow timestamps, not wheel-residency.
-        cal.schedule(SimTime::from_ns(2 * span + 1), 3);
-        cal.schedule(SimTime::from_ns(5 * span + 8), 4);
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(2 * span + 1), 3)));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(5 * span + 8), 4)));
-        assert_eq!(cal.pop(), None);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * [`SimTime`] / [`Duration`] — nanosecond-resolution simulated time,
 //!   as newtypes so wall-clock and simulated time can never be confused.
-//! * [`Calendar`] — a monotonic event calendar (priority queue) with
-//!   deterministic FIFO tie-breaking for events scheduled at the same
-//!   instant.
+//! * [`Calendar`] — a monotonic event calendar: a compact timing wheel
+//!   over one node slab, with deterministic FIFO tie-breaking for
+//!   events scheduled at the same instant.
 //! * [`hash`] — FNV-1a, the workspace's digest and checksum hash.
 //! * [`rng`] — seedable, portable pseudo-random number generators
 //!   (SplitMix64 and xoshiro256**). Simulations never touch OS entropy,
@@ -52,7 +52,7 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{Calendar, EventKey, PoolStats};
+pub use calendar::{Calendar, PoolStats};
 pub use obs::latency::{
     ChainTable, LatencyHistogram, LatencyReport, PathArena, PathAttr, QueryLat, Stage, NO_PATH,
 };

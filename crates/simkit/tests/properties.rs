@@ -89,150 +89,95 @@ proptest! {
     }
 }
 
+/// Runs `ops` against a calendar and against a naive reference model
+/// (live events as `(at, seq, id)`, delivered by `(at, seq)` minimum),
+/// asserting identical pops, lengths and peeks, then drains both.
+///
+/// Each op is `(kind, delta, n)`: kinds 0..=5 schedule at `watermark +
+/// delta` (`delta == 0` queues at the current instant, behind any
+/// same-instant events already pending); kinds 6..=7 pop once; other
+/// kinds pop a burst of `n % 4 + 1` events and then schedule one event
+/// at the new watermark.
+fn check_against_reference(ops: &[(u8, u64, u64)]) {
+    let mut cal = Calendar::new();
+    let mut model: Vec<(u64, u64, u32)> = Vec::new();
+    let mut seq = 0u64;
+    let mut next_id = 0u32;
+    let mut watermark = 0u64;
+    let mut schedule = |cal: &mut Calendar<u32>, model: &mut Vec<_>, at: u64| {
+        cal.schedule(SimTime::from_ns(at), next_id);
+        model.push((at, seq, next_id));
+        seq += 1;
+        next_id += 1;
+    };
+    let pop = |cal: &mut Calendar<u32>, model: &mut Vec<(u64, u64, u32)>, watermark: &mut u64| {
+        let expect = model
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(at, s, _))| (at, s))
+            .map(|(i, _)| i);
+        prop_assert_eq!(
+            cal.peek_time(),
+            expect.map(|i| SimTime::from_ns(model[i].0))
+        );
+        match expect {
+            Some(i) => {
+                let (at, _, id) = model.remove(i);
+                *watermark = at;
+                prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
+            }
+            None => prop_assert_eq!(cal.pop(), None),
+        }
+    };
+    for &(kind, delta, n) in ops {
+        match kind {
+            0..=5 => schedule(&mut cal, &mut model, watermark + delta),
+            6 | 7 => pop(&mut cal, &mut model, &mut watermark),
+            _ => {
+                for _ in 0..n % 4 + 1 {
+                    pop(&mut cal, &mut model, &mut watermark);
+                }
+                schedule(&mut cal, &mut model, watermark);
+            }
+        }
+        prop_assert_eq!(cal.len(), model.len());
+    }
+    // Drain the remainder and compare the full tail order.
+    model.sort_by_key(|&(at, s, _)| (at, s));
+    for &(at, _, id) in &model {
+        prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
+    }
+    prop_assert_eq!(cal.pop(), None);
+}
+
 proptest! {
     /// The pooled slab/free-list calendar is a drop-in replacement for a
     /// naive sorted-list calendar: under arbitrary interleavings of
-    /// schedules, pops, and cancels (including stale-key cancels), the
-    /// delivery order — nondecreasing time with FIFO tie-breaking — is
-    /// identical to the reference model's.
+    /// schedules (at the current instant or up to 60 ns ahead) and
+    /// pops, the delivery order — nondecreasing time with FIFO
+    /// tie-breaking — is identical to the reference model's.
     #[test]
     fn pooled_calendar_matches_reference_model(
         ops in proptest::collection::vec((0u8..10, 0u64..60, 0u64..1000), 1..300),
     ) {
-        let mut cal = simkit::Calendar::new();
-        // Reference model: live events as (at, seq, id); delivery order
-        // is the (at, seq) minimum. `keys` remembers every key ever
-        // issued so cancels can target live, popped, and already-
-        // cancelled events alike.
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut keys: Vec<(simkit::EventKey, u64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut next_id = 0u32;
-        let mut watermark = 0u64;
-        for (kind, a, b) in ops {
-            match kind {
-                // Schedule at or after the watermark (weight 6/10; a=0
-                // exercises the immediate-ring fast path).
-                0..=5 => {
-                    let at = watermark + a;
-                    let key = cal.schedule(SimTime::from_ns(at), next_id);
-                    model.push((at, seq, next_id));
-                    keys.push((key, at, seq, next_id));
-                    seq += 1;
-                    next_id += 1;
-                }
-                // Pop and compare against the model's (at, seq) minimum.
-                6 | 7 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &(at, s, _))| (at, s))
-                        .map(|(i, _)| i);
-                    match expect {
-                        Some(i) => {
-                            let (at, _, id) = model.remove(i);
-                            watermark = at;
-                            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-                        }
-                        None => prop_assert_eq!(cal.pop(), None),
-                    }
-                }
-                // Cancel an arbitrary previously issued key; it must
-                // succeed exactly when the event is still live.
-                _ => {
-                    if keys.is_empty() {
-                        continue;
-                    }
-                    let (key, at, s, id) = keys[(b as usize) % keys.len()];
-                    let live = model.iter().position(|&e| e == (at, s, id));
-                    let cancelled = cal.cancel(key);
-                    match live {
-                        Some(i) => {
-                            prop_assert!(cancelled, "live event must cancel");
-                            model.remove(i);
-                        }
-                        None => prop_assert!(!cancelled, "stale key must be inert"),
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), model.len());
-        }
-        // Drain the remainder and compare the full tail order.
-        model.sort_by_key(|&(at, s, _)| (at, s));
-        for &(at, _, id) in &model {
-            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-        }
-        prop_assert_eq!(cal.pop(), None);
+        check_against_reference(&ops);
     }
 
     /// The cross-tier variant of the reference-model test: time deltas
     /// up to 100_000 ns span many 8192-ns wheel windows, so schedules
-    /// land in the far tier, promote into the wheel as the watermark
-    /// advances, and wrap the wheel's bucket array repeatedly. Order
-    /// and cancel semantics must stay identical to the flat model.
+    /// land in the far tier, move into the wheel as the watermark
+    /// advances, and meet same-instant schedules right after a window
+    /// moved in. Order must stay identical to the flat model.
     #[test]
     fn calendar_matches_reference_across_tiers(
         ops in proptest::collection::vec((0u8..10, 0u64..100_000, 0u64..1000), 1..200),
     ) {
-        let mut cal = simkit::Calendar::new();
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut keys: Vec<(simkit::EventKey, u64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut next_id = 0u32;
-        let mut watermark = 0u64;
-        for (kind, a, b) in ops {
-            match kind {
-                0..=5 => {
-                    let at = watermark + a;
-                    let key = cal.schedule(SimTime::from_ns(at), next_id);
-                    model.push((at, seq, next_id));
-                    keys.push((key, at, seq, next_id));
-                    seq += 1;
-                    next_id += 1;
-                }
-                6 | 7 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &(at, s, _))| (at, s))
-                        .map(|(i, _)| i);
-                    match expect {
-                        Some(i) => {
-                            let (at, _, id) = model.remove(i);
-                            watermark = at;
-                            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-                        }
-                        None => prop_assert_eq!(cal.pop(), None),
-                    }
-                }
-                _ => {
-                    if keys.is_empty() {
-                        continue;
-                    }
-                    let (key, at, s, id) = keys[(b as usize) % keys.len()];
-                    let live = model.iter().position(|&e| e == (at, s, id));
-                    let cancelled = cal.cancel(key);
-                    match live {
-                        Some(i) => {
-                            prop_assert!(cancelled, "live event must cancel");
-                            model.remove(i);
-                        }
-                        None => prop_assert!(!cancelled, "stale key must be inert"),
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), model.len());
-        }
-        model.sort_by_key(|&(at, s, _)| (at, s));
-        for &(at, _, id) in &model {
-            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-        }
-        prop_assert_eq!(cal.pop(), None);
+        check_against_reference(&ops);
     }
 
     /// Equal timestamps drain in schedule order even when the tied
     /// group sits beyond the wheel window at schedule time (far tier)
-    /// and is only promoted into the wheel later: the `(time, seq)`
+    /// and is only promoted into the wheel later: the FIFO
     /// tie-break survives the tier migration.
     #[test]
     fn calendar_far_tier_preserves_fifo_ties(
@@ -249,10 +194,9 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 
-    /// `reset` restores a calendar that has events resident in every
-    /// tier (immediate ring, wheel, far map) to a pristine state: the
-    /// next schedule/pop cycle behaves exactly like a fresh calendar's,
-    /// with tie-break sequence numbering restarted.
+    /// `reset` restores a calendar that has events resident in both
+    /// tiers (wheel, far map) to a pristine state: the next
+    /// schedule/pop cycle behaves exactly like a fresh calendar's.
     #[test]
     fn calendar_reset_then_reuse_across_tiers(
         first in proptest::collection::vec(0u64..100_000, 1..100),
@@ -283,12 +227,13 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 
-    /// `drain_until` is equivalent to repeated `pop` calls: same events,
-    /// same order, same watermark afterwards.
+    /// `peek_time` always names the instant the next `pop` returns, and
+    /// popping while the peek is at or before a cut leaves the same
+    /// events, in the same order, as a full drain's prefix.
     #[test]
-    fn drain_until_equals_repeated_pop(
-        times in proptest::collection::vec(0u64..50, 1..150),
-        cut in 0u64..50,
+    fn calendar_peek_matches_next_pop(
+        times in proptest::collection::vec(0u64..50_000, 1..150),
+        cut in 0u64..50_000,
     ) {
         let mut a = simkit::Calendar::new();
         let mut b = simkit::Calendar::new();
@@ -296,14 +241,18 @@ proptest! {
             a.schedule(SimTime::from_ns(t), i);
             b.schedule(SimTime::from_ns(t), i);
         }
-        let mut drained = Vec::new();
-        a.drain_until(SimTime::from_ns(cut), &mut drained);
-        let mut popped = Vec::new();
-        while b.peek_time().is_some_and(|t| t <= SimTime::from_ns(cut)) {
-            popped.push(b.pop().unwrap());
+        let mut cut_prefix = Vec::new();
+        while a.peek_time().is_some_and(|t| t <= SimTime::from_ns(cut)) {
+            cut_prefix.push(a.pop().unwrap());
         }
-        prop_assert_eq!(drained, popped);
-        prop_assert_eq!(a.now(), b.now());
-        prop_assert_eq!(a.len(), b.len());
+        let mut all = Vec::new();
+        while let Some(peek) = b.peek_time() {
+            let (at, e) = b.pop().unwrap();
+            prop_assert_eq!(at, peek);
+            all.push((at, e));
+        }
+        prop_assert_eq!(&all[..cut_prefix.len()], &cut_prefix[..]);
+        prop_assert!(all[cut_prefix.len()..].iter().all(|&(t, _)| t > SimTime::from_ns(cut)));
+        prop_assert_eq!(a.len(), all.len() - cut_prefix.len());
     }
 }
