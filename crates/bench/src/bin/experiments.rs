@@ -11,10 +11,7 @@
 //! simulation cells — and, under `all`, whole figures — across worker
 //! threads. Every cell's seed is fixed by its identity before execution
 //! starts, so stdout is byte-identical at any job count; only the
-//! wall-clock changes. The per-figure timing summary goes to stderr,
-//! and `all` additionally writes a machine-readable
-//! `BENCH_parallel.json` with sequential-vs-parallel wall-clock on the
-//! Fig 14 matrix.
+//! wall-clock changes. The per-figure timing summary goes to stderr.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -26,7 +23,6 @@ use beacon_bench as bench;
 use beacon_bench::{Sweep, DEFAULT_BATCH, DEFAULT_NODES};
 use beacon_platforms::Platform;
 use beacongnn::report::{percent, ratio, Table};
-use beacongnn::{ParallelRunner, ReplayCache};
 
 fn main() {
     let mut jobs = beacongnn::default_jobs();
@@ -68,7 +64,6 @@ fn main() {
         "trad_ssd" => print!("{}", trad_ssd()),
         "config" => print!("{}", config()),
         "query" => print!("{}", query()),
-        "array" => print!("{}", array()),
         "scaleout" => scaleout(&positional[1..]),
         "ablation" => print!("{}", ablation()),
         "interference" => print!("{}", interference()),
@@ -78,7 +73,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: fig7a fig14 fig15 fig15f \
-                 fig16 fig17 fig18 [sweep] fig19 table4 trad_ssd query array scaleout \
+                 fig16 fig17 fig18 [sweep] fig19 table4 trad_ssd query scaleout \
                  ablation config obs latency all (plus --jobs N)"
             );
             std::process::exit(2);
@@ -92,38 +87,14 @@ fn main() {
     }
 }
 
-/// Runs every figure. Fig 14 doubles as the parallel-speedup
-/// calibration (its matrix runs once sequentially and once under the
-/// jobs setting); the remaining figures execute concurrently on a
+/// Runs every figure. The figures execute concurrently on a
 /// figure-level worker pool and print in fixed order.
 fn run_all(jobs: usize) {
-    // Calibration: the Fig 14 matrix (8 platforms × 5 workloads) timed
-    // both ways. The parallel pass's results also render the figure, so
-    // the calibration costs one extra sequential sweep, not two. The
-    // workload-build phase (cache population during matrix
-    // construction) is timed apart from the execution passes.
-    let tb = Instant::now();
-    let matrix = bench::fig14_matrix(DEFAULT_NODES, DEFAULT_BATCH);
-    let workload_build_s = tb.elapsed().as_secs_f64();
-    // The calibration measures parallel speedup of *full* execution, so
-    // it pins the disabled replay cache: record-once/replay-many (or the
-    // exact-cell memo) would otherwise collapse the second pass and turn
-    // the speedup into a cache benchmark. Results are byte-identical
-    // either way; only the wall-clock semantics are at stake.
-    let no_replay = ReplayCache::disabled();
-    let t0 = Instant::now();
-    let seq_results = matrix.run_sequential_with(&no_replay);
-    let sequential_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let par_results = ParallelRunner::new(jobs).run_with(&matrix, &no_replay);
-    let parallel_s = t1.elapsed().as_secs_f64();
-    drop(seq_results);
-    let fig14_out = fig14_render(&bench::fig14_rows(&par_results));
-
     type FigureFn = fn() -> String;
     let figures: Vec<(&str, FigureFn)> = vec![
         ("fig7a", fig7a as FigureFn),
         ("fig7b", fig7b),
+        ("fig14", fig14),
         ("fig15", fig15),
         ("fig15f", fig15f),
         ("fig16", fig16),
@@ -133,7 +104,6 @@ fn run_all(jobs: usize) {
         ("table4", table4),
         ("trad_ssd", trad_ssd),
         ("query", query),
-        ("array", array),
         ("scaleout", scaleout_figure),
         ("ablation", ablation),
         ("interference", interference),
@@ -169,61 +139,15 @@ fn run_all(jobs: usize) {
     });
 
     // stdout: figures in canonical order (fig7a, fig7b, fig14, ...),
-    // independent of schedule.
-    let mut timings: Vec<(&str, f64)> = Vec::new();
+    // independent of schedule. stderr: wall-clock summary (kept off
+    // stdout so output stays byte-identical across job counts).
+    for slot in &rendered {
+        print!("{}", slot.as_ref().expect("figure rendered").0);
+    }
+    eprintln!("\n--- timing summary ({jobs} jobs) ---");
     for ((name, _), slot) in figures.iter().zip(&rendered) {
         let (_, secs) = slot.as_ref().expect("figure rendered");
-        timings.push((name, *secs));
-        if *name == "fig7b" {
-            timings.push(("fig14", sequential_s + parallel_s));
-        }
-    }
-    for (i, slot) in rendered.iter().enumerate() {
-        print!("{}", slot.as_ref().expect("figure rendered").0);
-        if figures[i].0 == "fig7b" {
-            print!("{fig14_out}");
-        }
-    }
-
-    // stderr: wall-clock summary (kept off stdout so output stays
-    // byte-identical across job counts).
-    eprintln!("\n--- timing summary ({jobs} jobs) ---");
-    for (name, secs) in &timings {
         eprintln!("{name:>14}  {secs:8.3} s");
-    }
-    let speedup = if parallel_s > 0.0 {
-        sequential_s / parallel_s
-    } else {
-        1.0
-    };
-    eprintln!(
-        "fig14 matrix ({} cells): build {workload_build_s:.3} s, sequential {sequential_s:.3} s, \
-         parallel {parallel_s:.3} s, speedup {speedup:.2}x",
-        matrix.len()
-    );
-
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"calibration_cells\": {},", matrix.len());
-    let _ = writeln!(json, "  \"workload_build_s\": {workload_build_s:.6},");
-    let _ = writeln!(json, "  \"sequential_s\": {sequential_s:.6},");
-    let _ = writeln!(json, "  \"parallel_s\": {parallel_s:.6},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.4},");
-    json.push_str("  \"figures\": [\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"seconds\": {secs:.6}}}{comma}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_parallel.json"),
-        Err(e) => eprintln!("could not write BENCH_parallel.json: {e}"),
     }
 }
 
@@ -291,10 +215,7 @@ fn fig7b() -> String {
 }
 
 fn fig14() -> String {
-    fig14_render(&bench::fig14(DEFAULT_NODES, DEFAULT_BATCH))
-}
-
-fn fig14_render(rows: &[bench::Fig14Row]) -> String {
+    let rows = &bench::fig14(DEFAULT_NODES, DEFAULT_BATCH);
     let mut out = String::new();
     header(
         &mut out,
@@ -638,38 +559,6 @@ fn query() -> String {
     let _ = writeln!(
         out,
         "paper §VIII: one host round + no channel congestion => much lower query delay"
-    );
-    out
-}
-
-fn array() -> String {
-    let mut out = String::new();
-    header(
-        &mut out,
-        "§VIII extension — BeaconGNN storage-array scale-out (amazon, BG-2)",
-    );
-    let rows = bench::array_scaling(DEFAULT_NODES, 128);
-    let mut t = Table::new(&[
-        "SSDs",
-        "throughput",
-        "vs 1 SSD",
-        "efficiency",
-        "cross-partition",
-    ]);
-    let single = rows[0].array_throughput;
-    for r in &rows {
-        t.row_owned(vec![
-            r.ssds.to_string(),
-            format!("{:.0}/s", r.array_throughput),
-            ratio(r.array_throughput / single),
-            percent(r.efficiency()),
-            percent(r.cross_fraction),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "paper §VIII: capacity and computation should grow linearly with SSDs over P2P"
     );
     out
 }

@@ -152,7 +152,7 @@ fn chrome_trace_digest_is_pinned() {
         d = fnv1a_fold(d, m.metrics_registry().to_json_string().as_bytes());
     }
     assert_eq!(
-        d, 0x0a5f_d996_31a5_3325,
+        d, 0xb8c0_bde9_1513_b255,
         "chrome trace / registry digest drifted"
     );
 }

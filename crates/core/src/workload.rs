@@ -19,6 +19,13 @@ pub enum WorkloadError {
     Build(BuildError),
     /// The requested page size has no valid address layout.
     BadPageSize(usize),
+    /// A size parameter is below its minimum: a synthetic graph needs
+    /// at least two nodes and a mini-batch at least one target.
+    TooSmall {
+        what: &'static str,
+        value: usize,
+        min: usize,
+    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -26,6 +33,9 @@ impl fmt::Display for WorkloadError {
         match self {
             WorkloadError::Build(e) => write!(f, "DirectGraph construction failed: {e}"),
             WorkloadError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
+            WorkloadError::TooSmall { what, value, min } => {
+                write!(f, "{what} must be at least {min}, got {value}")
+            }
         }
     }
 }
@@ -34,7 +44,7 @@ impl std::error::Error for WorkloadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WorkloadError::Build(e) => Some(e),
-            WorkloadError::BadPageSize(_) => None,
+            WorkloadError::BadPageSize(_) | WorkloadError::TooSmall { .. } => None,
         }
     }
 }
@@ -138,9 +148,17 @@ impl WorkloadBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError`] if the page size is unsupported or
-    /// conversion fails.
+    /// Returns [`WorkloadError`] if the page size is unsupported, the
+    /// synthetic graph has fewer than two nodes, the batch size is zero,
+    /// or conversion fails.
     pub fn prepare(self) -> Result<Workload, WorkloadError> {
+        let too_small = |what, value, min| WorkloadError::TooSmall { what, value, min };
+        if self.custom.is_none() && self.nodes < 2 {
+            return Err(too_small("nodes", self.nodes, 2));
+        }
+        if self.batch_size == 0 {
+            return Err(too_small("batch size", 0, 1));
+        }
         let _prep_phase = simkit::profile::phase("workload/prepare");
         let fingerprint = self.fingerprint();
         let layout = AddrLayout::for_page_size(self.page_size)
@@ -322,6 +340,27 @@ mod tests {
         let err = Workload::builder().page_size(1000).prepare().unwrap_err();
         assert_eq!(err, WorkloadError::BadPageSize(1000));
         assert!(err.to_string().contains("1000"));
+    }
+
+    #[test]
+    fn degenerate_sizes_rejected() {
+        for nodes in [0, 1] {
+            let err = Workload::builder().nodes(nodes).prepare().unwrap_err();
+            assert_eq!(
+                err,
+                WorkloadError::TooSmall {
+                    what: "nodes",
+                    value: nodes,
+                    min: 2
+                }
+            );
+        }
+        let err = Workload::builder()
+            .nodes(100)
+            .batch_size(0)
+            .prepare()
+            .unwrap_err();
+        assert_eq!(err.to_string(), "batch size must be at least 1, got 0");
     }
 
     #[test]

@@ -3,18 +3,13 @@
 //!
 //! The paper expects BeaconGNN to scale out: multiple BeaconGNN SSDs in
 //! an array, communicating over direct P2P links, with capacity and
-//! compute growing linearly. This module models that array two ways:
-//!
-//! * [`ArrayEngine`] — the simulated path: a discrete-event multi-SSD
-//!   simulation with one *device lane* per SSD, advanced under a
-//!   conservative-lookahead round protocol (`simkit::sync`), with the
-//!   partition-aware host router dispatching each mini-batch target to
-//!   its owning device and cross-partition expansions riding the
-//!   explicit fabric cost model of [`FabricConfig`].
-//! * [`evaluate_array`] / [`evaluate_array_partitioned`] — the analytic
-//!   steady-state solver kept as a cross-check: single-SSD throughput ×
-//!   devices, capped by aggregate fabric bandwidth over the measured
-//!   cross-partition byte volume.
+//! compute growing linearly. [`ArrayEngine`] simulates that array: a
+//! discrete-event multi-SSD simulation with one *device lane* per SSD,
+//! advanced under a conservative-lookahead round protocol
+//! (`simkit::sync`), with the partition-aware host router dispatching
+//! each mini-batch target to its owning device and cross-partition
+//! expansions riding the explicit fabric cost model of
+//! [`FabricConfig`].
 //!
 //! ## The simulated path: recorded-cascade replay
 //!
@@ -62,7 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use beacon_energy::EnergyLedger;
-use beacon_flash::{DieSampler, GnnDieConfig, SampleCommand};
 use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
 use beacon_graph::{NodeId, Partition};
 use beacon_ssd::{FabricConfig, SsdConfig};
@@ -71,7 +65,7 @@ use simkit::obs::SpanRecorder;
 use simkit::sync::{EpochWindow, MessagePool};
 use simkit::{
     profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
-    QueryLat, SerialResource, SimTime, Stage, Trace, NO_PATH,
+    QueryLat, SerialResource, SimTime, Stage, NO_PATH,
 };
 
 use crate::engine::{
@@ -122,181 +116,6 @@ impl ArrayConfig {
     pub fn with_fabric(mut self, fabric: FabricConfig) -> Self {
         self.fabric = fabric;
         self
-    }
-}
-
-/// Result of an analytic array-scaling evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrayScaling {
-    /// SSDs in the array.
-    pub ssds: usize,
-    /// Single-SSD throughput (targets/s) of the same workload.
-    pub single_throughput: f64,
-    /// Array throughput (targets/s).
-    pub array_throughput: f64,
-    /// Fraction of sampled edges that crossed partitions.
-    pub cross_fraction: f64,
-}
-
-impl ArrayScaling {
-    /// Scaling efficiency: achieved speedup over ideal (`1.0` = linear).
-    pub fn efficiency(&self) -> f64 {
-        if self.single_throughput == 0.0 || self.ssds == 0 {
-            return 0.0;
-        }
-        (self.array_throughput / self.single_throughput) / self.ssds as f64
-    }
-}
-
-/// Evaluates analytic array scaling for `platform` on a prepared
-/// workload.
-///
-/// Methodology: (1) run the single-SSD engine for the workload to get
-/// its throughput and per-visit traffic; (2) replay the sampling
-/// cascade functionally to count cross-partition hops under a
-/// `node % ssds` partition; (3) each SSD serves `1/ssds` of the targets
-/// at single-SSD speed while the P2P fabric carries cross-partition
-/// commands and feature returns — whichever is slower bounds the array.
-pub fn evaluate_array(
-    platform: Platform,
-    array: ArrayConfig,
-    ssd: SsdConfig,
-    model: GnnModelConfig,
-    dg: &DirectGraph,
-    batches: &[Vec<NodeId>],
-    seed: u64,
-) -> ArrayScaling {
-    // Hash partitioning is the zero-metadata default; callers with a
-    // locality-aware layout use [`evaluate_array_partitioned`].
-    let n = dg.directory().len() as u32;
-    let hash = Partition::hash(&trivial_graph(n), array.ssds as u32);
-    evaluate_array_partitioned(platform, array, ssd, model, dg, batches, seed, &hash)
-}
-
-/// A node-count-only graph used to build id-based partitions (hash and
-/// range partitioning never look at edges).
-fn trivial_graph(n: u32) -> beacon_graph::CsrGraph {
-    beacon_graph::CsrGraphBuilder::new(n as usize).build()
-}
-
-/// [`evaluate_array`] with an explicit node partition (e.g.
-/// [`Partition::bfs_grow`] over the source graph, which cuts far fewer
-/// sampled edges than hashing on clustered graphs).
-///
-/// # Panics
-///
-/// Panics if the array is empty or the partition's part count differs
-/// from the array size.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_array_partitioned(
-    platform: Platform,
-    array: ArrayConfig,
-    ssd: SsdConfig,
-    model: GnnModelConfig,
-    dg: &DirectGraph,
-    batches: &[Vec<NodeId>],
-    seed: u64,
-    partition: &Partition,
-) -> ArrayScaling {
-    assert!(array.ssds >= 1, "array needs at least one SSD");
-    assert_eq!(
-        partition.parts() as usize,
-        array.ssds,
-        "partition/array size mismatch"
-    );
-    let single = Engine::new(platform, ssd, model, dg, seed).run(batches);
-    let single_throughput = single.throughput();
-
-    if array.ssds == 1 {
-        return ArrayScaling {
-            ssds: 1,
-            single_throughput,
-            array_throughput: single_throughput,
-            cross_fraction: 0.0,
-        };
-    }
-
-    // Count cross-partition edges + feature bytes by replaying the
-    // cascade functionally (deterministic under the same seed family).
-    // A sampled edge crosses when child and parent live on different
-    // SSDs; a feature return crosses when the visited node lives away
-    // from the target's home SSD (where aggregation happens).
-    let die_cfg = GnnDieConfig {
-        num_hops: model.hops,
-        fanout: model.fanout,
-        feature_bytes: model.feature_bytes() as u16,
-    };
-    let mut sampler = DieSampler::new(die_cfg, seed);
-    let mut total_edges = 0u64;
-    let mut cross_edges = 0u64;
-    let mut cross_feature_bytes = 0u64;
-    for batch in batches {
-        for &target in batch {
-            let addr = dg
-                .directory()
-                .primary_addr(target)
-                .expect("target in directory");
-            let home = partition.part_of(target);
-            // Frontier carries (command, parent's partition).
-            let mut frontier = vec![(SampleCommand::root(addr, 0), home)];
-            while let Some((cmd, parent_part)) = frontier.pop() {
-                let out = sampler
-                    .execute(&cmd, dg.image())
-                    .expect("well-formed image");
-                let here = match out.visited {
-                    Some(node) => {
-                        let part = partition.part_of(node);
-                        if cmd.parent != SampleCommand::NO_PARENT {
-                            total_edges += 1;
-                            if part != parent_part {
-                                cross_edges += 1;
-                            }
-                        }
-                        if part != home {
-                            cross_feature_bytes += out.feature_bytes as u64;
-                        }
-                        part
-                    }
-                    // Secondary sections live with their owner.
-                    None => parent_part,
-                };
-                for child in out.new_commands {
-                    frontier.push((child, here));
-                }
-            }
-        }
-    }
-    let cross_fraction = if total_edges == 0 {
-        0.0
-    } else {
-        cross_edges as f64 / total_edges as f64
-    };
-
-    // Per-target cross traffic: command hops (16 B each) + features.
-    let targets: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let cross_bytes_per_target =
-        (cross_edges * CMD_HOP_BYTES + cross_feature_bytes) as f64 / targets as f64;
-
-    // Compute capacity: each SSD serves its shard at single-SSD speed.
-    let compute_limit = single_throughput * array.ssds as f64;
-    // Fabric capacity: every SSD has one P2P port; aggregate fabric
-    // bandwidth is ssds × link bandwidth (full-duplex mesh/switch).
-    let fabric_bytes_per_sec = array.fabric.bandwidth as f64 * array.ssds as f64;
-    let fabric_limit = if cross_bytes_per_target > 0.0 {
-        fabric_bytes_per_sec / cross_bytes_per_target
-    } else {
-        f64::INFINITY
-    };
-    // Hop latency adds pipeline depth, not steady-state throughput loss;
-    // it shows up only if it starves the pipeline (ignored at
-    // mini-batch scale).
-    let array_throughput = compute_limit.min(fabric_limit);
-
-    ArrayScaling {
-        ssds: array.ssds,
-        single_throughput,
-        array_throughput,
-        cross_fraction,
     }
 }
 
@@ -1707,7 +1526,6 @@ impl<'a> ArrayEngine<'a> {
             energy,
             total_dies: self.ssd.geometry.total_dies() * devs,
             total_channels: self.ssd.geometry.channels * devs,
-            trace: Trace::with_capacity(0),
             pools,
             spans: SpanRecorder::disabled(),
             sampler_executed: cascade.single.sampler_executed,
@@ -1775,129 +1593,46 @@ mod tests {
         (graph, dg)
     }
 
+    /// A node-count-only graph for id-based partitions (hash
+    /// partitioning never looks at edges).
+    fn trivial_graph(n: u32) -> beacon_graph::CsrGraph {
+        beacon_graph::CsrGraphBuilder::new(n as usize).build()
+    }
+
     fn digest(m: &ArrayRunMetrics) -> String {
         m.metrics_registry().to_json_string()
     }
 
     #[test]
-    fn single_ssd_is_identity() {
-        let (dg, model, batches) = setup();
-        let s = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(1),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert_eq!(s.ssds, 1);
-        assert_eq!(s.array_throughput, s.single_throughput);
-        assert_eq!(s.cross_fraction, 0.0);
-        assert!((s.efficiency() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ample_p2p_scales_linearly() {
-        let (dg, model, batches) = setup();
-        let s = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        // §VIII's expectation: both capacity and computation grow
-        // linearly with SSDs when the fabric keeps up.
-        assert!(s.efficiency() > 0.95, "efficiency {:.2}", s.efficiency());
-        assert!(s.cross_fraction > 0.5, "4-way partition should cross often");
-    }
-
-    #[test]
-    fn starved_fabric_caps_scaling() {
-        let (dg, model, batches) = setup();
-        let thin = ArrayConfig::pcie_p2p(8)
-            .with_fabric(FabricConfig::pcie_p2p().with_bandwidth(2_000_000));
-        let s = evaluate_array(
-            Platform::Bg2,
-            thin,
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert!(
-            s.efficiency() < 0.5,
-            "thin fabric must bound scaling: {:.2}",
-            s.efficiency()
-        );
-        assert!(s.array_throughput < s.single_throughput * 8.0);
-    }
-
-    #[test]
-    fn locality_partition_reduces_cross_traffic() {
-        // Build a clustered graph so a locality-aware partition can
-        // shine, and reconstruct it for partitioning.
-        let (graph, dg) = clustered_dg(4, 500);
-        let model = GnnModelConfig::paper_default(64);
-        let batches = vec![(0..64u32).map(|i| NodeId::new(i * 31 % 2_000)).collect()];
-
-        let hash = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            3,
-        );
-        let part = Partition::bfs_grow(&graph, 4);
-        let local = evaluate_array_partitioned(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            3,
-            &part,
-        );
-        assert!(
-            local.cross_fraction < hash.cross_fraction / 2.0,
-            "bfs {:.3} vs hash {:.3}",
-            local.cross_fraction,
-            hash.cross_fraction
-        );
-    }
-
-    #[test]
     fn more_ssds_more_cross_traffic() {
         let (dg, model, batches) = setup();
-        let two = evaluate_array(
+        let engine = ArrayEngine::new(
             Platform::Bg2,
             ArrayConfig::pcie_p2p(2),
             SsdConfig::paper_default(),
             model,
             &dg,
-            &batches,
             7,
         );
-        let eight = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(8),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert!(eight.cross_fraction > two.cross_fraction);
+        let cascade = engine.record(&batches);
+        let cross = |devices: usize| {
+            ArrayEngine::new(
+                Platform::Bg2,
+                ArrayConfig::pcie_p2p(devices),
+                SsdConfig::paper_default(),
+                model,
+                &dg,
+                7,
+            )
+            .run_recorded(
+                &cascade,
+                &Partition::hash(&trivial_graph(3_000), devices as u32),
+            )
+            .cross_fraction()
+        };
+        let (two, eight) = (cross(2), cross(8));
+        assert!(eight > two, "8 devices {eight:.3} vs 2 devices {two:.3}");
     }
-
-    // ---- simulated path ----
 
     #[test]
     fn array_thread_count_is_invisible() {

@@ -50,15 +50,14 @@ pub mod replay;
 pub mod spec;
 
 pub use array::{
-    evaluate_array, evaluate_array_partitioned, ArrayCascade, ArrayConfig, ArrayEngine,
-    ArrayRunMetrics, ArrayScaling, DeviceMetrics, FabricLinkMetrics,
+    ArrayCascade, ArrayConfig, ArrayEngine, ArrayRunMetrics, DeviceMetrics, FabricLinkMetrics,
 };
 pub use engine::{Engine, EngineScratch};
 pub use metrics::{
     AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
     TimelineBuilder,
 };
-pub use query::{measure_query_latency, query_latency_under_load, QueryLatency};
+pub use query::{measure_query_latency, QueryLatency};
 pub use replay::CascadeRecording;
 pub use spec::{
     BackendControl, ComputeLocation, Platform, PlatformSpec, SamplingLocation, TransferGranularity,

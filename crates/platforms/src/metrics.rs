@@ -268,9 +268,6 @@ pub struct RunMetrics {
     pub total_dies: usize,
     /// Channel count of the simulated backend.
     pub total_channels: usize,
-    /// Optional event trace (empty unless enabled via
-    /// [`Engine::with_trace`](crate::Engine::with_trace)).
-    pub trace: simkit::Trace,
     /// Event/outcome pool recycling behaviour of this run.
     pub pools: PoolCounters,
     /// Observability spans (empty unless enabled via
@@ -439,7 +436,6 @@ impl RunMetrics {
         let trace = reg.section("trace");
         trace.set_u64("spans", self.spans.len() as u64);
         trace.set_u64("spans_dropped", self.spans.dropped());
-        trace.set_u64("legacy_events", self.trace.len() as u64);
 
         // Per-query latency: tail percentiles and critical-path stage
         // totals. Rendered even when tracking was off (`enabled` tells

@@ -50,7 +50,6 @@ pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod time;
-pub mod trace;
 
 pub use calendar::{Calendar, PoolStats};
 pub use obs::latency::{
@@ -63,4 +62,3 @@ pub use resource::{BandwidthResource, SerialResource};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sync::{EpochWindow, MessagePool};
 pub use time::{Duration, SimTime};
-pub use trace::{Trace, TraceEvent};

@@ -6,8 +6,7 @@
 //! - [`SpanRecorder`] collects [`Span`]s — intervals of simulated time
 //!   keyed by a `(unit kind, unit index)` pair. A disabled recorder
 //!   (capacity 0, the default) costs one predictable branch per record
-//!   site, mirroring the [`Trace`](crate::Trace) pattern the engine hot
-//!   path already proved cheap.
+//!   site, cheap enough to leave compiled into the engine hot path.
 //! - [`ChromeTraceWriter`] exports a recorder as Chrome trace-event
 //!   JSON, loadable in [Perfetto](https://ui.perfetto.dev) or
 //!   `chrome://tracing`. Events are sorted by `(time, kind, unit, seq)` so

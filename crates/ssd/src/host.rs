@@ -10,8 +10,8 @@
 //! inside the DirectGraph region, and batch targets must resolve to
 //! primary sections of the claimed nodes.
 //!
-//! [`HostAdapter`] drives the whole flow over a modeled NVMe queue pair
-//! against the device's FTL and flash page store.
+//! [`HostAdapter`] drives the whole flow against the device's FTL and
+//! runs each firmware check where the device would.
 
 use std::fmt;
 
@@ -19,7 +19,6 @@ use beacon_graph::NodeId;
 use directgraph::{DirectGraph, Validator};
 
 use crate::ftl::{BlockId, Ftl, FtlError};
-use crate::nvme::{NvmeCommand, QueuePair, TargetRecord};
 
 /// Errors from the host interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +31,6 @@ pub enum HostError {
     EmbeddedAddressOutOfBounds { page: u64 },
     /// A batch target failed firmware verification.
     BadTarget { node: NodeId },
-    /// The device rejected a command (NVMe status != 0).
-    DeviceStatus { status: u16 },
     /// The DirectGraph has not been flushed yet.
     NotFlushed,
 }
@@ -49,7 +46,6 @@ impl fmt::Display for HostError {
                 write!(f, "page {page} embeds an out-of-region address")
             }
             HostError::BadTarget { node } => write!(f, "target {node} failed verification"),
-            HostError::DeviceStatus { status } => write!(f, "device returned status {status}"),
             HostError::NotFlushed => write!(f, "DirectGraph not flushed to device"),
         }
     }
@@ -63,11 +59,8 @@ impl From<FtlError> for HostError {
     }
 }
 
-/// NVMe status code for a security-check rejection.
-const STATUS_SECURITY: u16 = 0x1C0;
-
-/// Drives DirectGraph setup and mini-batch launch over NVMe against a
-/// device model (FTL + reserved blocks + firmware checks).
+/// Drives DirectGraph setup and mini-batch launch against a device
+/// model (FTL + reserved blocks + firmware checks).
 ///
 /// # Examples
 ///
@@ -92,7 +85,6 @@ const STATUS_SECURITY: u16 = 0x1C0;
 /// ```
 #[derive(Debug)]
 pub struct HostAdapter {
-    qp: QueuePair,
     ftl: Ftl,
     pages_per_block: usize,
     reserved: Vec<BlockId>,
@@ -104,7 +96,6 @@ impl HostAdapter {
     /// Creates an adapter over a device with the given FTL.
     pub fn new(ftl: Ftl, pages_per_block: usize) -> Self {
         HostAdapter {
-            qp: QueuePair::new(64),
             ftl,
             pages_per_block,
             reserved: Vec::new(),
@@ -173,7 +164,8 @@ impl HostAdapter {
     }
 
     /// Launches a mini-batch: verifies every `(node, address)` target
-    /// against the image (§VI-E check 2) and ships the records.
+    /// against the image (§VI-E check 2); one bad target rejects the
+    /// whole batch.
     ///
     /// # Errors
     ///
@@ -190,31 +182,9 @@ impl HostAdapter {
         let validator = Validator::new(dg);
         for &(node, addr) in targets {
             if validator.verify_target(node, addr).is_err() {
-                // The firmware rejects the whole batch command; the
-                // expected non-zero status is folded into BadTarget.
-                let _ = self.roundtrip(
-                    NvmeCommand::StartBatch {
-                        targets: targets.len() as u32,
-                    },
-                    false,
-                );
                 return Err(HostError::BadTarget { node });
             }
         }
-        let records: Vec<TargetRecord> = targets
-            .iter()
-            .map(|&(node, addr)| TargetRecord {
-                node: node.as_u32(),
-                addr,
-            })
-            .collect();
-        let _payload = TargetRecord::encode_batch(&records);
-        self.roundtrip(
-            NvmeCommand::StartBatch {
-                targets: targets.len() as u32,
-            },
-            true,
-        )?;
         self.batches_started += 1;
         Ok(())
     }
@@ -227,39 +197,15 @@ impl HostAdapter {
     }
 
     fn reserve(&mut self, count: u32) -> Result<(), HostError> {
-        self.roundtrip(NvmeCommand::ReserveBlocks { count }, true)?;
         self.reserved = self.ftl.reserve_blocks(count as usize)?;
         Ok(())
     }
 
-    fn flush_one(&mut self, ppa: u64) -> Result<(), HostError> {
+    fn flush_one(&self, ppa: u64) -> Result<(), HostError> {
         // §VI-E check 1a: destination must fall in a reserved block.
         let block = BlockId::new((ppa / self.pages_per_block as u64) as u32);
         if !self.ftl.is_reserved(block) {
-            self.roundtrip(NvmeCommand::FlushPage { ppa }, false)?;
             return Err(HostError::FlushOutOfBounds { ppa });
-        }
-        self.roundtrip(NvmeCommand::FlushPage { ppa }, true)
-    }
-
-    /// Submits a command, lets the device consume it, posts and reaps
-    /// the completion. `accept` selects the device's verdict.
-    fn roundtrip(&mut self, cmd: NvmeCommand, accept: bool) -> Result<(), HostError> {
-        let cid = self
-            .qp
-            .submit(cmd)
-            .map_err(|_| HostError::DeviceStatus { status: 0xFFFF })?;
-        let (popped, _) = self.qp.device_pop().expect("just submitted");
-        debug_assert_eq!(popped, cid);
-        let status = if accept { 0 } else { STATUS_SECURITY };
-        self.qp
-            .device_complete(cid, status)
-            .map_err(|_| HostError::DeviceStatus { status: 0xFFFE })?;
-        let completion = self.qp.host_reap().expect("just completed");
-        if completion.status != 0 {
-            return Err(HostError::DeviceStatus {
-                status: completion.status,
-            });
         }
         Ok(())
     }
@@ -376,6 +322,23 @@ mod tests {
                 "page {i} -> {ppa} not reserved"
             );
         }
+    }
+
+    #[test]
+    fn flush_outside_reserved_blocks_rejected() {
+        let dg = build_dg(100);
+        let (ftl, ppb) = small_device();
+        let mut host = HostAdapter::new(ftl, ppb);
+        host.setup_directgraph(&dg).unwrap();
+        let free = (0..)
+            .map(BlockId::new)
+            .find(|&b| !host.ftl().is_reserved(b))
+            .unwrap();
+        let ppa = (free.index() * ppb) as u64;
+        assert_eq!(
+            host.flush_one(ppa),
+            Err(HostError::FlushOutOfBounds { ppa })
+        );
     }
 
     #[test]

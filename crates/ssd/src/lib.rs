@@ -24,7 +24,6 @@ pub mod config;
 pub mod ftl;
 pub mod host;
 pub mod modes;
-pub mod nvme;
 pub mod reliability;
 pub mod router;
 
@@ -33,6 +32,5 @@ pub use config::{FabricConfig, FirmwareCosts, HostCosts, SsdConfig};
 pub use ftl::{BlockId, Ftl, FtlError, FtlStats, Ppa};
 pub use host::{HostAdapter, HostError};
 pub use modes::{DeviceMode, ModeController};
-pub use nvme::{NvmeCommand, QueuePair, TargetRecord};
 pub use reliability::{ReclamationOutcome, ScrubReport, Scrubber};
 pub use router::{CommandRouter, RouterStats};

@@ -1,6 +1,5 @@
-//! §VIII extensions in action: real-time GNN query latency and a
-//! cross-check of the two array scale-out paths — the analytic solver
-//! against the simulated device-lane array.
+//! §VIII extensions in action: real-time GNN query latency and the
+//! simulated device-lane array's scale-out efficiency.
 //!
 //! ```sh
 //! cargo run --release --example scaleout_query
@@ -10,7 +9,7 @@
 //! fabrics) lives in the harness: `cargo run --release -p beacon-bench
 //! --bin experiments scaleout`.
 
-use beacongnn::platforms::{evaluate_array_partitioned, measure_query_latency};
+use beacongnn::platforms::measure_query_latency;
 use beacongnn::report::{percent, Table};
 use beacongnn::{
     ArrayConfig, Dataset, Experiment, NodeId, Partition, Platform, SsdConfig, Workload,
@@ -47,48 +46,28 @@ fn main() -> Result<(), WorkloadError> {
     }
     println!("{}", t.render());
 
-    // --- Storage array: analytic bound vs simulated device lanes. ---
-    // The analytic solver prices compute and fabric as throughput
-    // limits; the simulated array replays the recorded cascade through
-    // per-device lanes and an explicit fabric. Both should agree on the
-    // shape: near-linear scaling while the fabric has headroom.
-    println!("\nBG-2 array scale-out, analytic vs simulated (PCIe P2P, hash partition):\n");
+    // --- Storage array: simulated device lanes. ---
+    // The array replays one recorded sampling cascade through
+    // per-device lanes and an explicit fabric, so the efficiency below
+    // includes queueing on the fabric links.
+    println!("\nBG-2 array scale-out, simulated (PCIe P2P, hash partition):\n");
     let exp = Experiment::new(&workload);
     let cascade = exp
         .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(1))
         .record(workload.batches());
-    let mut t = Table::new(&[
-        "SSDs",
-        "analytic efficiency",
-        "simulated efficiency",
-        "cross-device traffic",
-    ]);
+    let mut t = Table::new(&["SSDs", "efficiency", "cross-device traffic"]);
     for n in [1usize, 2, 4, 8] {
         let part = Partition::hash(workload.graph(), n as u32);
-        let analytic = evaluate_array_partitioned(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(n),
-            exp.config(),
-            workload.model(),
-            workload.directgraph(),
-            workload.batches(),
-            workload.seed(),
-            &part,
-        );
         let simulated = exp
             .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(n))
             .run_recorded(&cascade, &part);
         t.row_owned(vec![
             n.to_string(),
-            percent(analytic.efficiency()),
             percent(simulated.efficiency()),
             format!("{:.2} MB", simulated.fabric_bytes() as f64 / 1e6),
         ]);
     }
     println!("{}", t.render());
-    println!(
-        "The simulated path also prices queueing on the fabric links; see\n\
-         `experiments scaleout` for the partition-strategy and fabric sweeps."
-    );
+    println!("See `experiments scaleout` for the partition-strategy and fabric sweeps.");
     Ok(())
 }

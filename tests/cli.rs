@@ -116,3 +116,63 @@ fn missing_dataset_flag_is_an_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--dataset"));
 }
+
+/// Asserts `args` exits with code 2 and an `error:` line mentioning
+/// `needle` on stderr.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = beacongnn().args(args).output().expect("executes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error:") && l.contains(needle)),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn degenerate_sizes_are_errors_not_panics() {
+    let out = std::env::temp_dir().join(format!("beacongnn-cli-tiny-{}.dgr", std::process::id()));
+    let out = out.to_str().unwrap();
+    for sub in ["run", "compare", "convert"] {
+        for nodes in ["0", "1"] {
+            assert_usage_error(
+                &[sub, "--dataset", "amazon", "--nodes", nodes, "--out", out],
+                "nodes must be at least 2",
+            );
+        }
+        assert_usage_error(
+            &[
+                sub,
+                "--dataset",
+                "amazon",
+                "--nodes",
+                "100",
+                "--batch",
+                "0",
+                "--out",
+                out,
+            ],
+            "batch size must be at least 1",
+        );
+    }
+    assert!(!std::path::Path::new(out).exists());
+}
+
+#[test]
+fn csv_trace_path_is_an_error() {
+    assert_usage_error(
+        &[
+            "run",
+            "--dataset",
+            "amazon",
+            "--nodes",
+            "100",
+            "--trace",
+            "x.csv",
+        ],
+        ".json",
+    );
+    assert!(!std::path::Path::new("x.csv").exists());
+}
