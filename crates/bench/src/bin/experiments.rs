@@ -585,7 +585,7 @@ fn scaleout(args: &[String]) {
             }
         }
     }
-    let report = bench::scaleout(DEFAULT_NODES, DEFAULT_BATCH, bench::jobs());
+    let report = bench::scaleout(DEFAULT_NODES, DEFAULT_BATCH);
     print!("{}", scaleout_render(&report));
     if let Some(path) = metrics {
         let file = File::create(&path).unwrap_or_else(|e| {
@@ -605,11 +605,7 @@ fn scaleout(args: &[String]) {
 }
 
 fn scaleout_figure() -> String {
-    scaleout_render(&bench::scaleout(
-        DEFAULT_NODES,
-        DEFAULT_BATCH,
-        bench::jobs(),
-    ))
+    scaleout_render(&bench::scaleout(DEFAULT_NODES, DEFAULT_BATCH))
 }
 
 fn scaleout_render(report: &bench::ScaleoutReport) -> String {

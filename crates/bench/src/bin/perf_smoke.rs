@@ -36,10 +36,8 @@
 //!    the obs wall-clock cost is reported.
 //! 7. **array scale-out** — the phase-3 cell sharded over
 //!    `--array-devices` simulated SSDs (bfs_grow partition, PCIe-P2P
-//!    fabric): the cascade is recorded once, then the replay is timed
-//!    at 1 and `--array-threads` device-lane workers. Reports must be
-//!    byte-identical; the wall-clock ratio feeds the
-//!    `--min-array-speedup` gate.
+//!    fabric): the cascade is recorded once, then the device-lane
+//!    replay is timed and reported per simulated event.
 //! 8. **record-once / replay-many** — the phase-5 matrix re-run through
 //!    a fresh [`beacongnn::ReplayCache`]: the first pass records the
 //!    shared cascade once, later passes replay it warm. Every replayed
@@ -56,8 +54,7 @@
 //! given — the JSON report. `--min-speedup X` / `--min-build-speedup X`
 //! turn the sweeps into gates: the process exits non-zero if the
 //! speedup at the highest job/thread count falls below `X`. These gates
-//! (and `--min-array-speedup X` for phase 7) auto-skip (with a warning)
-//! when the host has fewer cores than that
+//! auto-skip (with a warning) when the host has fewer cores than that
 //! count — a single-core container cannot exhibit parallel speedup, and
 //! failing there would only punish the hardware. `--min-replay-speedup
 //! X` gates the phase-8 full/replay ratio, soft-skipping when the full
@@ -105,10 +102,8 @@ fn main() {
     let mut jobs = 4usize;
     let mut build_jobs = 4usize;
     let mut array_devices = 8usize;
-    let mut array_threads = 4usize;
     let mut min_speedup: Option<f64> = None;
     let mut min_build_speedup: Option<f64> = None;
-    let mut min_array_speedup: Option<f64> = None;
     let mut min_replay_speedup: Option<f64> = None;
     let mut max_ns_per_event: Option<f64> = None;
     let mut json_path: Option<String> = None;
@@ -121,13 +116,9 @@ fn main() {
             "--jobs" => jobs = parse_arg(&mut args, "--jobs"),
             "--build-jobs" => build_jobs = parse_arg(&mut args, "--build-jobs"),
             "--array-devices" => array_devices = parse_arg(&mut args, "--array-devices"),
-            "--array-threads" => array_threads = parse_arg(&mut args, "--array-threads"),
             "--min-speedup" => min_speedup = Some(parse_arg(&mut args, "--min-speedup")),
             "--min-build-speedup" => {
                 min_build_speedup = Some(parse_arg(&mut args, "--min-build-speedup"))
-            }
-            "--min-array-speedup" => {
-                min_array_speedup = Some(parse_arg(&mut args, "--min-array-speedup"))
             }
             "--min-replay-speedup" => {
                 min_replay_speedup = Some(parse_arg(&mut args, "--min-replay-speedup"))
@@ -143,10 +134,9 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument `{other}`; usage: perf_smoke [--iters N] [--jobs N] \
-                     [--build-jobs N] [--array-devices N] [--array-threads N] [--min-speedup X] \
-                     [--min-build-speedup X] [--min-array-speedup X] [--min-replay-speedup X] \
-                     [--max-ns-per-event X] [--json PATH] [--baseline-json PATH] \
-                     [--max-regress-pct X]"
+                     [--build-jobs N] [--array-devices N] [--min-speedup X] \
+                     [--min-build-speedup X] [--min-replay-speedup X] [--max-ns-per-event X] \
+                     [--json PATH] [--baseline-json PATH] [--max-regress-pct X]"
                 );
                 std::process::exit(2);
             }
@@ -156,7 +146,6 @@ fn main() {
     let jobs = jobs.max(1);
     let build_jobs = build_jobs.max(1);
     let array_devices = array_devices.max(1);
-    let array_threads = array_threads.max(1);
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     // Phase 1: workload preparation (synthesis + DirectGraph build) at
@@ -385,10 +374,8 @@ fn main() {
 
     // Phase 7: array scale-out. The phase-3 cell sharded over
     // `--array-devices` simulated SSDs behind the partition-aware host
-    // router. The cascade records once (serial, timed apart); only the
-    // device-lane replay is timed at 1 vs `--array-threads` workers —
-    // that replay is the parallel section the `--min-array-speedup`
-    // gate tracks. Reports must be byte-identical at both counts.
+    // router. The cascade records once (timed apart); then only the
+    // device-lane replay is timed.
     let array_cfg = ArrayConfig::pcie_p2p(array_devices);
     let array_part = Partition::bfs_grow(workload.graph(), array_devices as u32);
     let t = Instant::now();
@@ -396,59 +383,36 @@ fn main() {
         .array_engine(Platform::Bg2, array_cfg)
         .record(workload.batches());
     let array_record_s = t.elapsed().as_secs_f64();
-    let mut array_t1 = Vec::with_capacity(iters);
-    let mut array_tn = Vec::with_capacity(iters);
-    let mut array_serial = None;
-    let mut array_parallel = None;
+    let mut array_times = Vec::with_capacity(iters);
+    let mut array_run = None;
     for _ in 0..iters {
         let t = Instant::now();
         let m = exp
             .array_engine(Platform::Bg2, array_cfg)
-            .threads(1)
             .run_recorded(&cascade, &array_part);
-        array_t1.push(t.elapsed().as_secs_f64());
-        array_serial = Some(m);
-        let t = Instant::now();
-        let m = exp
-            .array_engine(Platform::Bg2, array_cfg)
-            .threads(array_threads)
-            .run_recorded(&cascade, &array_part);
-        array_tn.push(t.elapsed().as_secs_f64());
-        array_parallel = Some(m);
+        array_times.push(t.elapsed().as_secs_f64());
+        array_run = Some(m);
     }
-    let array_serial = array_serial.expect("at least one array run");
-    let array_parallel = array_parallel.expect("at least one array run");
-    let array_report = array_serial.metrics_registry().to_json_string();
-    assert_eq!(
-        array_report,
-        array_parallel.metrics_registry().to_json_string(),
-        "array replay must be byte-identical at any thread count"
-    );
-    let array_t1_best = array_t1.iter().cloned().fold(f64::INFINITY, f64::min);
-    let array_tn_best = array_tn.iter().cloned().fold(f64::INFINITY, f64::min);
-    let array_speedup = if array_tn_best > 0.0 {
-        array_t1_best / array_tn_best
-    } else {
-        1.0
-    };
-    let array_events: u64 = array_serial
+    let array_run = array_run.expect("at least one array run");
+    let array_report = array_run.metrics_registry().to_json_string();
+    let array_best = array_times.iter().cloned().fold(f64::INFINITY, f64::min);
+    let array_events: u64 = array_run
         .per_device
         .iter()
         .map(|d| d.events_processed)
         .sum();
-    let array_ns_per_event = if array_events > 0 && array_t1_best.is_finite() {
-        array_t1_best * 1e9 / array_events as f64
+    let array_ns_per_event = if array_events > 0 && array_best.is_finite() {
+        array_best * 1e9 / array_events as f64
     } else {
         0.0
     };
     let array_digest = fnv1a(FNV_OFFSET, array_report.as_bytes());
     eprintln!(
-        "array replay ({array_devices} devices): record {array_record_s:.3} s, 1 thread best \
-         {array_t1_best:.3} s, {array_threads} threads best {array_tn_best:.3} s, speedup \
-         {array_speedup:.2}x, {array_events} events ({array_ns_per_event:.0} ns/event), \
+        "array replay ({array_devices} devices): record {array_record_s:.3} s, replay best \
+         {array_best:.3} s, {array_events} events ({array_ns_per_event:.0} ns/event), \
          efficiency {:.3}, makespan {}",
-        array_serial.efficiency(),
-        array_serial.metrics.makespan
+        array_run.efficiency(),
+        array_run.metrics.makespan
     );
     println!("digest array 0x{array_digest:016x}");
 
@@ -604,12 +568,11 @@ fn main() {
     );
     let _ = write!(
         json,
-        "\"array\": {{\"devices\": {array_devices}, \"threads\": {array_threads}, \
-         \"record_s\": {array_record_s:.6}, \"t1_best_s\": {array_t1_best:.6}, \
-         \"tn_best_s\": {array_tn_best:.6}, \"speedup\": {array_speedup:.4}, \
+        "\"array\": {{\"devices\": {array_devices}, \
+         \"record_s\": {array_record_s:.6}, \"t1_best_s\": {array_best:.6}, \
          \"events_processed\": {array_events}, \"ns_per_event\": {array_ns_per_event:.2}, \
          \"efficiency\": {:.6}, \"digest\": \"0x{array_digest:016x}\"}}, ",
-        array_serial.efficiency()
+        array_run.efficiency()
     );
     let _ = write!(
         json,
@@ -665,22 +628,6 @@ fn main() {
             failed = true;
         } else {
             eprintln!("speedup gate passed: {top_speedup:.2}x >= {min:.2}x");
-        }
-    }
-    if let Some(min) = min_array_speedup {
-        if host_cores < array_threads {
-            eprintln!(
-                "array speedup gate skipped: host has {host_cores} cores, \
-                 cannot scale to {array_threads} array threads"
-            );
-        } else if array_speedup < min {
-            eprintln!(
-                "array speedup gate FAILED: {array_speedup:.2}x at --array-threads \
-                 {array_threads} (required >= {min:.2}x)"
-            );
-            failed = true;
-        } else {
-            eprintln!("array speedup gate passed: {array_speedup:.2}x >= {min:.2}x");
         }
     }
     if let Some(min) = min_replay_speedup {

@@ -682,7 +682,7 @@ pub struct ScaleoutReport {
 /// recorded once from the serial engine and replayed per cell (it
 /// depends on none of the swept parameters), so the sweep costs one
 /// full simulation plus cheap timing replays.
-pub fn scaleout(nodes: usize, batch: usize, threads: usize) -> ScaleoutReport {
+pub fn scaleout(nodes: usize, batch: usize) -> ScaleoutReport {
     let w = workload(Dataset::Amazon, nodes, batch);
     let exp = Experiment::new(&w);
     let cascade = exp
@@ -700,7 +700,6 @@ pub fn scaleout(nodes: usize, batch: usize, threads: usize) -> ScaleoutReport {
                         Platform::Bg2,
                         ArrayConfig::pcie_p2p(devices).with_fabric(cfg),
                     )
-                    .threads(threads)
                     .run_recorded(&cascade, &part);
                 rows.push(ScaleoutRow {
                     devices,
@@ -1035,7 +1034,7 @@ mod tests {
 
     #[test]
     fn scaleout_grid_shape_and_identities() {
-        let report = scaleout(2_000, 32, 2);
+        let report = scaleout(2_000, 32);
         assert_eq!(
             report.rows.len(),
             SCALEOUT_DEVICES.len() * PartitionStrategy::ALL.len() * scaleout_fabrics().len()

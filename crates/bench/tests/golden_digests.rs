@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use beacon_bench as bench;
-use beacongnn::{Dataset, Experiment, Platform, RunCell, RunMatrix, SsdConfig, Workload};
+use beacongnn::{
+    ArrayConfig, Dataset, Experiment, Partition, Platform, RunCell, RunMatrix, SsdConfig, Workload,
+};
 
 /// FNV-1a fold, mirroring `perf_smoke`'s digest of result streams.
 fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
@@ -155,4 +157,46 @@ fn chrome_trace_digest_is_pinned() {
         d, 0xb8c0_bde9_1513_b255,
         "chrome trace / registry digest drifted"
     );
+}
+
+/// The multi-SSD array replay on a small power-law workload (Amazon
+/// shape, 2k nodes): folds the full metrics registry (merged run,
+/// `array`, `device_<i>` and `fabric_link_<i>` sections) of every cell
+/// of a 4/8 devices × hash/bfs_grow × PCIe-P2P/NVMe-oF grid, once with
+/// per-query latency tracking off and once with it on. Pins the round
+/// protocol's delivery order, fabric grants and lane merge, which the
+/// serial-engine pins above never reach.
+#[test]
+fn array_registry_digest_is_pinned() {
+    let w = bench::workload(Dataset::Amazon, 2_000, 32);
+    let exp = Experiment::new(&w);
+    let mut d = FNV_OFFSET;
+    for latency in [false, true] {
+        let engine = |array: ArrayConfig| {
+            let e = exp.array_engine(Platform::Bg2, array);
+            if latency {
+                e.with_latency(simkit::Duration::from_us(50))
+            } else {
+                e
+            }
+        };
+        let cascade = engine(ArrayConfig::pcie_p2p(1)).record(w.batches());
+        for devices in [4usize, 8] {
+            let k = devices as u32;
+            for part in [
+                Partition::hash(w.graph(), k),
+                Partition::bfs_grow(w.graph(), k),
+            ] {
+                for array in [
+                    ArrayConfig::pcie_p2p(devices),
+                    ArrayConfig::nvme_of(devices),
+                ] {
+                    let m = engine(array).run_recorded(&cascade, &part);
+                    assert_eq!(m.metrics.latency.is_enabled(), latency);
+                    d = fnv1a_fold(d, m.metrics_registry().to_json_string().as_bytes());
+                }
+            }
+        }
+    }
+    assert_eq!(d, 0xf1b2_6b48_59ed_1273, "array registry digest drifted");
 }

@@ -49,7 +49,7 @@ fn print_usage() {
          beacongnn run --dataset <name> [--nodes N] [--platform P] [--batch N] [--batches N]\n      \
          [--trace out.json] [--metrics out.metrics.json]\n      \
          [--latency-csv out.csv] [--latency-epoch-us N]\n  \
-         beacongnn compare --dataset <name> [--nodes N] [--batch N]\n\
+         beacongnn compare --dataset <name> [--nodes N] [--batch N] [--batches N]\n\
          datasets: reddit amazon movielens ogbn ppi\n\
          platforms: CC SmartSage GList BG-1 BG-DG BG-SP BG-DGSP BG-2"
     );

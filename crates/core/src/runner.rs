@@ -1,7 +1,6 @@
 //! Experiment runner: platforms × workloads × device configs.
 
-use beacon_graph::Partition;
-use beacon_platforms::{ArrayConfig, ArrayEngine, ArrayRunMetrics, Engine, Platform, RunMetrics};
+use beacon_platforms::{ArrayConfig, ArrayEngine, Engine, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
 use crate::replaycache::ReplayCache;
@@ -75,8 +74,8 @@ impl<'a> Experiment<'a> {
     /// [`ArrayEngine`]): the graph shards across `array.ssds` devices
     /// and cross-partition expansions ride the configured fabric. Use
     /// [`ArrayEngine::record`] + [`ArrayEngine::run_recorded`] to reuse
-    /// one recorded cascade across device counts, partitions, fabrics
-    /// and thread counts.
+    /// one recorded cascade across device counts, partitions and
+    /// fabrics.
     pub fn array_engine(&self, platform: Platform, array: ArrayConfig) -> ArrayEngine<'a> {
         ArrayEngine::new(
             platform,
@@ -86,23 +85,6 @@ impl<'a> Experiment<'a> {
             self.workload.directgraph(),
             self.seed,
         )
-    }
-
-    /// Records and replays one platform on a multi-SSD array in a
-    /// single call: the workload's target batches route to the devices
-    /// owning them under `partition`, device lanes replay in parallel
-    /// on `threads` workers, and the report is byte-identical at any
-    /// thread count.
-    pub fn run_array(
-        &self,
-        platform: Platform,
-        array: ArrayConfig,
-        threads: usize,
-        partition: &Partition,
-    ) -> ArrayRunMetrics {
-        self.array_engine(platform, array)
-            .threads(threads)
-            .run(partition, self.workload.batches())
     }
 
     /// Runs one platform with the sim-time observability layer enabled:
@@ -291,41 +273,6 @@ mod tests {
             "run-to-run CV {:.3} too high",
             stats.cv()
         );
-    }
-
-    #[test]
-    fn run_array_matches_serial_on_one_device() {
-        let w = small_workload();
-        let exp = Experiment::new(&w);
-        let single = exp.run(Platform::Bg2);
-        let array = exp.run_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(1),
-            1,
-            &Partition::hash(w.graph(), 1),
-        );
-        assert_eq!(array.metrics.makespan, single.makespan);
-        assert_eq!(array.metrics.flash_reads, single.flash_reads);
-        assert!((array.efficiency() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_array_shards_work_across_devices() {
-        let w = small_workload();
-        let exp = Experiment::new(&w);
-        let single = exp.run(Platform::Bg2);
-        let array = exp.run_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            2,
-            &Partition::hash(w.graph(), 4),
-        );
-        assert_eq!(array.devices, 4);
-        assert_eq!(
-            array.per_device.iter().map(|d| d.flash_reads).sum::<u64>(),
-            single.flash_reads
-        );
-        assert!(array.cross_edges > 0);
     }
 
     #[test]

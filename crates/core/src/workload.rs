@@ -20,7 +20,8 @@ pub enum WorkloadError {
     /// The requested page size has no valid address layout.
     BadPageSize(usize),
     /// A size parameter is below its minimum: a synthetic graph needs
-    /// at least two nodes and a mini-batch at least one target.
+    /// at least two nodes, a mini-batch at least one target, and a
+    /// workload at least one mini-batch.
     TooSmall {
         what: &'static str,
         value: usize,
@@ -149,8 +150,8 @@ impl WorkloadBuilder {
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if the page size is unsupported, the
-    /// synthetic graph has fewer than two nodes, the batch size is zero,
-    /// or conversion fails.
+    /// synthetic graph has fewer than two nodes, the batch size or the
+    /// batch count is zero, or conversion fails.
     pub fn prepare(self) -> Result<Workload, WorkloadError> {
         let too_small = |what, value, min| WorkloadError::TooSmall { what, value, min };
         if self.custom.is_none() && self.nodes < 2 {
@@ -158,6 +159,9 @@ impl WorkloadBuilder {
         }
         if self.batch_size == 0 {
             return Err(too_small("batch size", 0, 1));
+        }
+        if self.batches == 0 {
+            return Err(too_small("batches", 0, 1));
         }
         let _prep_phase = simkit::profile::phase("workload/prepare");
         let fingerprint = self.fingerprint();
@@ -361,6 +365,19 @@ mod tests {
             .prepare()
             .unwrap_err();
         assert_eq!(err.to_string(), "batch size must be at least 1, got 0");
+        let err = Workload::builder()
+            .nodes(100)
+            .batches(0)
+            .prepare()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            WorkloadError::TooSmall {
+                what: "batches",
+                value: 0,
+                min: 1
+            }
+        );
     }
 
     #[test]

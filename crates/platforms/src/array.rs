@@ -5,8 +5,8 @@
 //! an array, communicating over direct P2P links, with capacity and
 //! compute growing linearly. [`ArrayEngine`] simulates that array: a
 //! discrete-event multi-SSD simulation with one *device lane* per SSD,
-//! advanced under a conservative-lookahead round protocol
-//! (`simkit::sync`), with the partition-aware host router dispatching
+//! advanced under a conservative-lookahead round protocol, with the
+//! partition-aware host router dispatching
 //! each mini-batch target to its owning device and cross-partition
 //! expansions riding the explicit fabric cost model of
 //! [`FabricConfig`].
@@ -43,18 +43,16 @@
 //!
 //! ## Determinism
 //!
-//! The lane protocol follows `simkit::sync`: lanes drain events
-//! strictly below a shared horizon (the next multiple of the fabric hop
-//! latency — the minimum cross-device delay — above the earliest
-//! pending event), and everything crossing a
-//! device boundary is buffered, globally sorted by `(time, record
-//! index)`, and applied by the coordinator alone: fabric link grants in
-//! sorted order, deliveries quantized to the next window boundary.
-//! Thread count is invisible; any [`threads`](ArrayEngine::threads)
-//! value produces byte-identical reports.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+//! The round protocol runs inline on the calling thread. Each round,
+//! every lane in device order drains its events strictly below a shared
+//! horizon: the next multiple of the fabric hop latency (the minimum
+//! cross-device delay) above the earliest pending event. Everything
+//! crossing a device boundary is collected into one buffer, sorted by
+//! `(time, record key)`, and applied by the coordinator: fabric link
+//! grants in sorted order, deliveries quantized to the next window
+//! boundary and scheduled straight into the destination lane's
+//! calendar. No lane runs between a delivery and its next round, so the
+//! report is a pure function of the simulated configuration.
 
 use beacon_energy::EnergyLedger;
 use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
@@ -62,7 +60,6 @@ use beacon_graph::{NodeId, Partition};
 use beacon_ssd::{FabricConfig, SsdConfig};
 use directgraph::DirectGraph;
 use simkit::obs::SpanRecorder;
-use simkit::sync::{EpochWindow, MessagePool};
 use simkit::{
     profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
     QueryLat, SerialResource, SimTime, Stage, NO_PATH,
@@ -77,10 +74,6 @@ use crate::metrics::{
 };
 use crate::replay::{CascadeRec, CascadeRecording};
 use crate::spec::Platform;
-
-/// Sentinel for "lane calendar is empty" in the shared next-event
-/// atomics.
-const IDLE: u64 = u64::MAX;
 
 /// Bytes of one cross-device command hop (a forwarded sampling
 /// command: packed address + hop/count/subgraph header).
@@ -257,8 +250,7 @@ impl ArrayRunMetrics {
     /// [`RunMetrics`] sections followed by an `array` section, one
     /// `device_<i>` section per device, and one `fabric_link_<i>`
     /// section per egress link. Section and field order is fixed, so
-    /// two identical runs serialize byte-identically at any thread
-    /// count.
+    /// two identical runs serialize byte-identically.
     pub fn metrics_registry(&self) -> simkit::MetricsRegistry {
         let mut reg = self.metrics.metrics_registry();
         let a = reg.section("array");
@@ -422,6 +414,24 @@ fn feature_key(rec: u32) -> u128 {
     ((rec as u128) << 1) | 1
 }
 
+/// One round's cross-device messages, tagged `(send time, key)`.
+type Outbox = Vec<(SimTime, u128, AMsg)>;
+
+/// The first lookahead boundary strictly after `t`: the earliest
+/// instant a message sent at `t` may reach another lane, and the
+/// horizon of a round whose earliest pending event is at `t`.
+fn next_boundary(window: Duration, t: SimTime) -> SimTime {
+    let w = window.as_ns();
+    SimTime::from_ns((t.as_ns() / w + 1).saturating_mul(w))
+}
+
+/// Quantizes a cross-device delivery: the later of its own arrival and
+/// the first boundary after `sent`, so a message never lands inside the
+/// window it was sent in.
+fn quantize(window: Duration, sent: SimTime, arrival: SimTime) -> SimTime {
+    arrival.max(next_boundary(window, sent))
+}
+
 /// One device's event loop: a full SSD backend (all channels, dies and
 /// DRAM), a private calendar, and lane-local metric accumulators that
 /// merge in fixed device order after the run.
@@ -433,7 +443,6 @@ struct DevLane {
     dram: BandwidthResource,
     calendar: Calendar<DevEvent>,
     memo: FlashServiceMemo,
-    outbox: MessagePool<AMsg>,
 
     record_hops: bool,
     hop_first: Vec<Option<SimTime>>,
@@ -472,7 +481,6 @@ impl DevLane {
             dram: BandwidthResource::new(ssd.dram_bandwidth),
             calendar: Calendar::new(),
             memo: FlashServiceMemo::new(ssd.timing, ON_DIE_SAMPLE_TIME, geo.page_size),
-            outbox: MessagePool::new(),
             record_hops: true,
             hop_first: vec![None; hops],
             hop_last: vec![None; hops],
@@ -495,12 +503,19 @@ impl DevLane {
         }
     }
 
-    fn next_time_ns(&self) -> u64 {
-        self.calendar.peek_time().map_or(IDLE, |t| t.as_ns())
+    /// Schedules an inbound arrival of `rec` at `at`, materializing its
+    /// inherited path attribution (present only with latency on) in
+    /// this device's arena.
+    fn deliver(&mut self, at: SimTime, rec: u32, path: Option<Box<PathAttr>>) {
+        if let Some(p) = path {
+            self.lat_of[rec as usize] = self.arena.alloc(*p);
+        }
+        self.calendar.schedule(at, DevEvent::Arrive(rec));
     }
 
-    /// Drains every event strictly below `horizon`.
-    fn run_round(&mut self, ctx: &ReplayCtx<'_>, horizon: SimTime) {
+    /// Drains every event strictly below `horizon`, appending the
+    /// messages it sends to other devices to `out`.
+    fn run_round(&mut self, ctx: &ReplayCtx<'_>, horizon: SimTime, out: &mut Outbox) {
         loop {
             match self.calendar.peek_time() {
                 Some(t) if t < horizon => {}
@@ -515,10 +530,10 @@ impl DevLane {
                     self.on_xfer(ctx, rec, die_start, created, now)
                 }
                 DevEvent::Done(rec, xfer_end, chan_wait) => {
-                    self.on_done(ctx, rec, xfer_end, chan_wait, now)
+                    self.on_done(ctx, rec, xfer_end, chan_wait, now, out)
                 }
                 DevEvent::Finish(rec, xfer_end, chan_wait) => {
-                    self.finish(ctx, rec, xfer_end, chan_wait, now)
+                    self.finish(ctx, rec, xfer_end, chan_wait, now, out)
                 }
             }
         }
@@ -611,6 +626,7 @@ impl DevLane {
         xfer_end: SimTime,
         chan_wait: Duration,
         now: SimTime,
+        out: &mut Outbox,
     ) {
         let fb = ctx.recs[rec as usize].feature_bytes as u64;
         if fb > 0 && !self.ssd.dram_bypass {
@@ -627,7 +643,7 @@ impl DevLane {
             self.calendar
                 .schedule(grant.end, DevEvent::Finish(rec, xfer_end, chan_wait));
         } else {
-            self.finish(ctx, rec, xfer_end, chan_wait, now);
+            self.finish(ctx, rec, xfer_end, chan_wait, now, out);
         }
     }
 
@@ -638,6 +654,7 @@ impl DevLane {
         xfer_end: SimTime,
         chan_wait: Duration,
         now: SimTime,
+        out: &mut Outbox,
     ) {
         let ri = rec as usize;
         let r = &ctx.recs[ri];
@@ -674,7 +691,7 @@ impl DevLane {
                 }
                 self.calendar.schedule(now, DevEvent::Arrive(c));
             } else {
-                self.outbox.push(
+                out.push((
                     now,
                     spawn_key(c),
                     AMsg::Spawn {
@@ -683,11 +700,11 @@ impl DevLane {
                         rec: c,
                         path: inherit.map(Box::new),
                     },
-                );
+                ));
             }
         }
         if r.feature_bytes > 0 && ctx.home[ri] != me {
-            self.outbox.push(
+            out.push((
                 now,
                 feature_key(rec),
                 AMsg::Feature {
@@ -697,100 +714,9 @@ impl DevLane {
                     bytes: r.feature_bytes as u64,
                     path: inherit.map(Box::new),
                 },
-            );
+            ));
         }
         self.prep_end = self.prep_end.max(now);
-    }
-}
-
-/// An inbound delivery queued for a device lane: `(time_ns, event,
-/// inherited path attribution)` — the path rider is `None` when
-/// latency tracking is off.
-type ADelivery = (u64, DevEvent, Option<Box<PathAttr>>);
-
-/// State shared between the coordinator (main thread) and the device
-/// lane workers.
-struct AShared {
-    epochs: EpochWindow,
-    horizon: AtomicU64,
-    done: AtomicBool,
-    record_hops: AtomicBool,
-    prep_end_max: AtomicU64,
-    next_times: Vec<AtomicU64>,
-    /// Per-device inbound deliveries.
-    mailboxes: Vec<Mutex<Vec<ADelivery>>>,
-    pool: Mutex<MessagePool<AMsg>>,
-    barrier: Barrier,
-}
-
-impl AShared {
-    fn new(lanes: usize, parties: usize, epochs: EpochWindow) -> Self {
-        AShared {
-            epochs,
-            horizon: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            record_hops: AtomicBool::new(true),
-            prep_end_max: AtomicU64::new(0),
-            next_times: (0..lanes).map(|_| AtomicU64::new(IDLE)).collect(),
-            mailboxes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
-            pool: Mutex::new(MessagePool::new()),
-            barrier: Barrier::new(parties),
-        }
-    }
-}
-
-/// Runs one device lane's round: drain inbound deliveries, advance to
-/// the horizon, publish the lane's next event time and its outbound
-/// messages.
-fn lane_round(lane: &mut DevLane, ctx: &ReplayCtx<'_>, shared: &AShared, li: usize) {
-    let horizon = SimTime::from_ns(shared.horizon.load(Ordering::Acquire));
-    lane.record_hops = shared.record_hops.load(Ordering::Acquire);
-    let inbound = std::mem::take(&mut *shared.mailboxes[li].lock().expect("mailbox"));
-    for (t, ev, path) in inbound {
-        // An inbound arrival materializes its inherited path in this
-        // device's arena.
-        if let (Some(p), DevEvent::Arrive(rec)) = (path, ev) {
-            lane.lat_of[rec as usize] = lane.arena.alloc(*p);
-        }
-        lane.calendar.schedule(SimTime::from_ns(t), ev);
-    }
-    lane.run_round(ctx, horizon);
-    shared.next_times[li].store(lane.next_time_ns(), Ordering::Release);
-    shared
-        .prep_end_max
-        .fetch_max(lane.prep_end.as_ns(), Ordering::AcqRel);
-    if !lane.outbox.is_empty() {
-        shared.pool.lock().expect("pool").absorb(&mut lane.outbox);
-    }
-}
-
-/// Advances every lane one round: inline for the serial fallback,
-/// through the barrier for persistent workers. Identical protocol on
-/// identical shared state, so `threads(1)` is the byte-exact reference
-/// for any thread count.
-trait RoundDriver {
-    fn round(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared);
-}
-
-struct SerialDriver<'l> {
-    lanes: &'l mut [DevLane],
-}
-
-impl RoundDriver for SerialDriver<'_> {
-    fn round(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared) {
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
-            lane_round(lane, ctx, shared, li);
-        }
-    }
-}
-
-struct BarrierDriver;
-
-impl RoundDriver for BarrierDriver {
-    fn round(&mut self, _ctx: &ReplayCtx<'_>, shared: &AShared) {
-        shared.barrier.wait();
-        // Workers run their lanes here.
-        shared.barrier.wait();
     }
 }
 
@@ -798,6 +724,8 @@ impl RoundDriver for BarrierDriver {
 /// touch) plus the batch-pipeline bookkeeping.
 struct ACoordinator {
     links: Vec<BandwidthResource>,
+    /// Fabric hop latency: the minimum cross-device delay, and the
+    /// lookahead window.
     hop_latency: Duration,
     link_bytes: Vec<u64>,
     link_msgs: Vec<u64>,
@@ -832,19 +760,15 @@ struct ABatchLat {
 }
 
 impl ACoordinator {
-    /// Applies one round's messages in globally sorted `(time, key)`
-    /// order: fabric-link grants are issued in that order, command
-    /// hops are quantized to the next lookahead boundary and posted
-    /// into lane mailboxes, feature returns fold into the home
-    /// device's batch-level readiness. Returns the earliest delivery
-    /// time, or [`IDLE`].
-    fn process_messages(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared) -> u64 {
-        let mut pool = shared.pool.lock().expect("pool");
-        if pool.is_empty() {
-            return IDLE;
-        }
-        let mut min_delivery = IDLE;
-        for (at, _key, msg) in pool.drain_sorted() {
+    /// Applies one round's messages in sorted `(time, key)` order:
+    /// fabric-link grants are issued in that order, command hops are
+    /// quantized to the next lookahead boundary and scheduled on their
+    /// destination lane, feature returns fold into the home device's
+    /// batch-level readiness. Keys are unique, so the unstable sort
+    /// never meets a tie.
+    fn process_messages(&mut self, ctx: &ReplayCtx<'_>, msgs: &mut Outbox, lanes: &mut [DevLane]) {
+        msgs.sort_unstable_by_key(|&(t, k, _)| (t, k));
+        for (at, _key, msg) in msgs.drain(..) {
             self.messages += 1;
             match msg {
                 AMsg::Spawn {
@@ -856,7 +780,7 @@ impl ACoordinator {
                     let grant = self.links[from as usize].transfer(at, CMD_HOP_BYTES);
                     self.link_bytes[from as usize] += CMD_HOP_BYTES;
                     self.link_msgs[from as usize] += 1;
-                    let arrive = shared.epochs.quantize(at, grant.end + self.hop_latency);
+                    let arrive = quantize(self.hop_latency, at, grant.end + self.hop_latency);
                     let path = path.map(|mut p| {
                         p.add(Stage::Queue, grant.start.saturating_duration_since(at));
                         p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
@@ -866,11 +790,7 @@ impl ACoordinator {
                         );
                         p
                     });
-                    shared.mailboxes[to as usize]
-                        .lock()
-                        .expect("mailbox")
-                        .push((arrive.as_ns(), DevEvent::Arrive(rec), path));
-                    min_delivery = min_delivery.min(arrive.as_ns());
+                    lanes[to as usize].deliver(arrive, rec, path);
                 }
                 AMsg::Feature {
                     from,
@@ -897,7 +817,6 @@ impl ACoordinator {
                 }
             }
         }
-        min_delivery
     }
 }
 
@@ -923,12 +842,9 @@ impl ACoordinator {
 /// let part = Partition::hash(&graph, 4);
 /// let engine = ArrayEngine::new(
 ///     Platform::Bg2, ArrayConfig::pcie_p2p(4), SsdConfig::paper_default(), model, &dg, 42);
-/// let serial = engine.run(&part, &batches);
-/// let threaded = ArrayEngine::new(
-///     Platform::Bg2, ArrayConfig::pcie_p2p(4), SsdConfig::paper_default(), model, &dg, 42)
-///     .threads(4)
-///     .run(&part, &batches);
-/// assert_eq!(serial.metrics.makespan, threaded.metrics.makespan);
+/// let m = engine.run(&part, &batches);
+/// assert_eq!(m.per_device.len(), 4);
+/// assert_eq!(m.metrics.targets, 16);
 /// ```
 pub struct ArrayEngine<'a> {
     platform: Platform,
@@ -937,13 +853,11 @@ pub struct ArrayEngine<'a> {
     model: GnnModelConfig,
     dg: &'a DirectGraph,
     seed: u64,
-    threads: usize,
     lat_epoch: Option<Duration>,
 }
 
 impl<'a> ArrayEngine<'a> {
-    /// Creates an array engine (serial round protocol until
-    /// [`threads`](Self::threads) raises it).
+    /// Creates an array engine.
     ///
     /// # Panics
     ///
@@ -975,24 +889,23 @@ impl<'a> ArrayEngine<'a> {
             model,
             dg,
             seed,
-            threads: 1,
             lat_epoch: None,
         }
     }
 
-    /// Sets the device-worker thread count. Output is byte-identical
-    /// at any value; values above the device count are clamped, and
-    /// below 2 the round protocol runs inline with no threads.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Does nothing: the device lanes always run inline on the calling
+    /// thread. The benchmark's `scaleout` workload (`simbench/`) is the
+    /// only caller; the next change to the benchmark deletes that call
+    /// and this method together.
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
     /// Enables per-query latency tracking (see
     /// [`Engine::with_latency`](crate::Engine::with_latency)): chains
     /// are followed per device lane — fabric hops included — and merged
-    /// in device order, so [`RunMetrics::latency`] is byte-identical at
-    /// any thread count. Also applies to the recording run, so a
+    /// in device order. Also applies to the recording run, so a
     /// 1-device array returns the serial engine's latency report
     /// verbatim. `epoch` is the windowed time-series granularity
     /// ([`Duration::ZERO`] for a single window).
@@ -1003,7 +916,7 @@ impl<'a> ArrayEngine<'a> {
 
     /// Phase 1: runs the serial single-SSD engine once and records the
     /// sampling cascade. The result is reusable across device counts,
-    /// partitions, fabrics and thread counts (it depends on neither).
+    /// partitions and fabrics (it depends on none of them).
     ///
     /// On platforms that are not channel-separable the cascade is
     /// empty and only a 1-device replay (the serial metrics verbatim)
@@ -1116,14 +1029,6 @@ impl<'a> ArrayEngine<'a> {
         let mut lanes: Vec<DevLane> = (0..devs)
             .map(|d| DevLane::new(d, self.ssd, hops, lat))
             .collect();
-
-        let threads = self.threads.min(devs);
-        let workers = if threads >= 2 { threads } else { 0 };
-        let shared = AShared::new(
-            devs,
-            workers + 1,
-            EpochWindow::new(self.array.fabric.hop_latency),
-        );
         let mut coord = ACoordinator {
             links: (0..devs)
                 .map(|_| BandwidthResource::new(self.array.fabric.bandwidth))
@@ -1146,50 +1051,7 @@ impl<'a> ArrayEngine<'a> {
             lat_batches: Vec::new(),
         };
 
-        if workers == 0 {
-            let mut driver = SerialDriver { lanes: &mut lanes };
-            self.run_batches(cascade, partition, &ctx, &shared, &mut coord, &mut driver);
-        } else {
-            // Round-robin the lanes over persistent workers; the
-            // global message sort makes the grouping invisible.
-            let mut groups: Vec<Vec<(usize, DevLane)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (li, lane) in lanes.drain(..).enumerate() {
-                groups[li % workers].push((li, lane));
-            }
-            let shared_ref = &shared;
-            let ctx_ref = &ctx;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|mut group| {
-                        s.spawn(move || loop {
-                            shared_ref.barrier.wait();
-                            if shared_ref.done.load(Ordering::Acquire) {
-                                return group;
-                            }
-                            for (li, lane) in group.iter_mut() {
-                                lane_round(lane, ctx_ref, shared_ref, *li);
-                            }
-                            shared_ref.barrier.wait();
-                        })
-                    })
-                    .collect();
-                let mut driver = BarrierDriver;
-                self.run_batches(cascade, partition, &ctx, &shared, &mut coord, &mut driver);
-                shared.done.store(true, Ordering::Release);
-                shared.barrier.wait();
-                let mut by_device: Vec<Option<DevLane>> = (0..devs).map(|_| None).collect();
-                for handle in handles {
-                    for (li, lane) in handle.join().expect("device worker") {
-                        by_device[li] = Some(lane);
-                    }
-                }
-                lanes = by_device
-                    .into_iter()
-                    .map(|l| l.expect("every lane returned"))
-                    .collect();
-            });
-        }
+        self.run_batches(cascade, partition, &ctx, &mut coord, &mut lanes);
 
         profile::count("array/rounds", coord.rounds);
         profile::count("array/messages", coord.messages);
@@ -1205,20 +1067,22 @@ impl<'a> ArrayEngine<'a> {
         cascade: &ArrayCascade,
         partition: &Partition,
         ctx: &ReplayCtx<'_>,
-        shared: &AShared,
         coord: &mut ACoordinator,
-        driver: &mut dyn RoundDriver,
+        lanes: &mut [DevLane],
     ) {
         let spec = self.platform.spec();
         let accel = spec.accel_config();
         let devs = self.array.ssds;
+        let mut msgs = Outbox::new();
         let mut compute_free = vec![SimTime::ZERO; devs];
         let mut prep_cursor = SimTime::ZERO;
         let mut compute_ends: Vec<Vec<SimTime>> = Vec::with_capacity(cascade.batches.len());
 
         for (bi, batch) in cascade.batches.iter().enumerate() {
             coord.targets_total += batch.len() as u64;
-            shared.record_hops.store(bi == 0, Ordering::Release);
+            for lane in lanes.iter_mut() {
+                lane.record_hops = bi == 0;
+            }
             // §VI-D double buffering, array-wide: every device's DRAM
             // region must have released its half before the next prep
             // starts (the round loop advances all lanes together).
@@ -1245,33 +1109,19 @@ impl<'a> ArrayEngine<'a> {
             for j in 0..batch.len() {
                 let rec = base + j as u32;
                 let owner = ctx.owner[rec as usize] as usize;
-                shared.mailboxes[owner].lock().expect("mailbox").push((
-                    start.as_ns(),
-                    DevEvent::Arrive(rec),
-                    coord.lat_on.then(Box::default),
-                ));
+                lanes[owner].deliver(start, rec, coord.lat_on.then(Box::default));
             }
-            let mut pending_min = start.as_ns();
 
-            loop {
-                let lanes_min = shared
-                    .next_times
-                    .iter()
-                    .map(|t| t.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(IDLE);
-                let min_next = lanes_min.min(pending_min);
-                if min_next == IDLE {
-                    break;
+            while let Some(min_next) = lanes.iter().filter_map(|l| l.calendar.peek_time()).min() {
+                let horizon = next_boundary(coord.hop_latency, min_next);
+                for lane in lanes.iter_mut() {
+                    lane.run_round(ctx, horizon, &mut msgs);
                 }
-                let horizon = shared.epochs.horizon_for(SimTime::from_ns(min_next));
-                shared.horizon.store(horizon.as_ns(), Ordering::Release);
-                driver.round(ctx, shared);
                 coord.rounds += 1;
-                pending_min = coord.process_messages(ctx, shared);
+                coord.process_messages(ctx, &mut msgs, lanes);
             }
 
-            let prep_end = SimTime::from_ns(shared.prep_end_max.load(Ordering::Acquire)).max(start);
+            let prep_end = lanes.iter().map(|l| l.prep_end).fold(start, SimTime::max);
             coord.prep_total += prep_end - prep_start;
             prep_cursor = prep_end;
 
@@ -1599,10 +1449,6 @@ mod tests {
         beacon_graph::CsrGraphBuilder::new(n as usize).build()
     }
 
-    fn digest(m: &ArrayRunMetrics) -> String {
-        m.metrics_registry().to_json_string()
-    }
-
     #[test]
     fn more_ssds_more_cross_traffic() {
         let (dg, model, batches) = setup();
@@ -1634,33 +1480,43 @@ mod tests {
         assert!(eight > two, "8 devices {eight:.3} vs 2 devices {two:.3}");
     }
 
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_ns(ns)
+    }
+
     #[test]
-    fn array_thread_count_is_invisible() {
-        let (dg, model, batches) = setup();
-        let part = Partition::hash(&trivial_graph(3_000), 4);
-        let engine = ArrayEngine::new(
+    fn boundary_is_strictly_after() {
+        let w = Duration::from_ns(500);
+        assert_eq!(next_boundary(w, t(0)), t(500));
+        assert_eq!(next_boundary(w, t(499)), t(500));
+        assert_eq!(next_boundary(w, t(500)), t(1000));
+        assert_eq!(next_boundary(w, t(501)), t(1000));
+    }
+
+    #[test]
+    fn quantize_never_lands_in_source_epoch() {
+        let w = Duration::from_ns(500);
+        // Arrival already past the boundary: untouched.
+        assert_eq!(quantize(w, t(100), t(700)), t(700));
+        // Arrival inside the source epoch: pushed to the boundary.
+        assert_eq!(quantize(w, t(100), t(200)), t(500));
+        // Sent exactly on a boundary: delivery waits for the next one.
+        assert_eq!(quantize(w, t(500), t(500)), t(1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_window_rejected() {
+        let (dg, model, _) = setup();
+        ArrayEngine::new(
             Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
+            ArrayConfig::pcie_p2p(2)
+                .with_fabric(FabricConfig::pcie_p2p().with_hop_latency(Duration::ZERO)),
             SsdConfig::paper_default(),
             model,
             &dg,
             7,
         );
-        let cascade = engine.record(&batches);
-        let reference = digest(&engine.run_recorded(&cascade, &part));
-        for threads in [2, 8] {
-            let m = ArrayEngine::new(
-                Platform::Bg2,
-                ArrayConfig::pcie_p2p(4),
-                SsdConfig::paper_default(),
-                model,
-                &dg,
-                7,
-            )
-            .threads(threads)
-            .run_recorded(&cascade, &part);
-            assert_eq!(digest(&m), reference, "threads={threads}");
-        }
     }
 
     #[test]

@@ -120,35 +120,30 @@ fn array_latency_matches_serial_on_one_device() {
     );
 }
 
+/// A multi-device array with latency tracking on reports one query per
+/// target, with stage attribution summing to each query's latency
+/// across fabric hops and per-device compute tails.
 #[test]
-fn array_latency_is_thread_count_invariant() {
+fn array_latency_report_is_consistent() {
     let seed = 11u64;
     let (graph, dg) = build_graph(900, 16.0, 64, seed);
     let model = GnnModelConfig::paper_default(64);
     let ssd = SsdConfig::paper_default();
     let part = Partition::hash(&graph, 4);
     let b = batches_for(900, 24, 2);
-    let run = |threads: usize| {
-        ArrayEngine::new(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            ssd,
-            model,
-            &dg,
-            seed,
-        )
-        .with_latency(Duration::from_us(50))
-        .threads(threads)
-        .run(&part, &b)
-    };
-    let reference = run(1);
-    check_report(&reference.metrics, 48);
-    let reference = report(&reference.metrics);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            report(&run(threads).metrics),
-            reference,
-            "threads={threads}"
-        );
-    }
+    let m = ArrayEngine::new(
+        Platform::Bg2,
+        ArrayConfig::pcie_p2p(4),
+        ssd,
+        model,
+        &dg,
+        seed,
+    )
+    .with_latency(Duration::from_us(50))
+    .run(&part, &b);
+    assert!(
+        m.messages > 0,
+        "a 4-device hash partition crosses the fabric"
+    );
+    check_report(&m.metrics, 48);
 }

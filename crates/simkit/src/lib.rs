@@ -15,9 +15,6 @@
 //! * [`par`] — deterministic build-time parallelism: fixed-boundary
 //!   chunking over scoped worker threads, byte-identical at any thread
 //!   count.
-//! * [`sync`] — conservative-lookahead primitives for multi-lane
-//!   event loops: epoch-window horizon math and a deterministically
-//!   ordered cross-lane message pool.
 //! * [`stats`] — counters, streaming summaries, fixed-bin histograms,
 //!   time-weighted utilization trackers and event timelines used to
 //!   regenerate the paper's figures.
@@ -48,7 +45,6 @@ pub mod profile;
 pub mod resource;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod time;
 
 pub use calendar::{Calendar, PoolStats};
@@ -60,5 +56,4 @@ pub use obs::{
 };
 pub use resource::{BandwidthResource, SerialResource};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use sync::{EpochWindow, MessagePool};
 pub use time::{Duration, SimTime};

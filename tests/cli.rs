@@ -157,6 +157,20 @@ fn degenerate_sizes_are_errors_not_panics() {
             "batch size must be at least 1",
         );
     }
+    for sub in ["run", "compare"] {
+        assert_usage_error(
+            &[
+                sub,
+                "--dataset",
+                "amazon",
+                "--nodes",
+                "100",
+                "--batches",
+                "0",
+            ],
+            "batches must be at least 1",
+        );
+    }
     assert!(!std::path::Path::new(out).exists());
 }
 
